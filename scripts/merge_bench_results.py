@@ -4,24 +4,27 @@
 Produces the committed BENCH_microbench.json: one entry per benchmark with
 scalar_ns, auto_ns and the scalar/auto speedup, plus enough context (host,
 dispatch level, date fields passed through from the auto run) to interpret
-the numbers later.
+the numbers later. When the runs used repetitions, each time is the median
+over the repetitions.
 
 Usage: merge_bench_results.py scalar.json auto.json out.json
 """
 import json
+import statistics
 import sys
 
 
 def load_results(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    out = {}
+    reps = {}
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
+        # Skip aggregate rows (mean/median/stddev) if repetitions were used;
+        # the median is taken here from the individual repetitions.
         if bench.get("run_type") == "aggregate":
             continue
-        out[bench["name"]] = float(bench["real_time"])
-    return doc, out
+        reps.setdefault(bench["name"], []).append(float(bench["real_time"]))
+    return doc, {name: statistics.median(ts) for name, ts in reps.items()}
 
 
 def main(argv):

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fft_plan.hpp"
 
 namespace vibguard::dsp {
 namespace {
@@ -30,28 +31,37 @@ void cross_correlate_direct(std::span<const double> a,
 
 void cross_correlate_fft(std::span<const double> a, std::span<const double> b,
                          std::size_t max_lag, CorrelationScratch& scratch) {
-  // corr(lag) = sum_n a(n) b(n+lag) = IFFT(conj(FFT(a)) * FFT(b)) with
-  // enough zero padding to avoid circular wrap.
-  const std::size_t m = next_pow2(a.size() + b.size() + 2 * max_lag);
+  // corr(lag) = sum_n a(n) b(n+lag) = IRFFT(conj(RFFT(a)) * RFFT(b)), read
+  // off the circular correlation of the zero-padded inputs. With both
+  // padded to m >= max(na, nb) + max_lag no lag in [-max_lag, max_lag]
+  // wraps: a positive lag reaches index na - 1 + max_lag < m, and a
+  // negative lag -L lands at m - L >= nb, past every nonzero sample of b.
+  const std::size_t m = next_pow2(std::max(a.size(), b.size()) + max_lag);
+  const FftPlan& plan = get_plan(m);
   std::vector<Complex>& fa = scratch.fa;
   std::vector<Complex>& fb = scratch.fb;
-  fa.assign(m, Complex(0.0, 0.0));
-  fb.assign(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0.0);
-  fft_pow2(fa, false);
-  fft_pow2(fb, false);
-  for (std::size_t i = 0; i < m; ++i) fa[i] = std::conj(fa[i]) * fb[i];
-  fft_pow2(fa, true);
+  fa.resize(m / 2 + 1);
+  fb.resize(m / 2 + 1);
+  plan.rfft(a, fa);
+  plan.rfft(b, fb);
+  for (std::size_t k = 0; k < fa.size(); ++k) {
+    // conj(fa) * fb, spelled out to skip std::complex's NaN-recovery path.
+    const double ar = fa[k].real(), ai = fa[k].imag();
+    const double br = fb[k].real(), bi = fb[k].imag();
+    fa[k] = Complex(ar * br + ai * bi, ar * bi - ai * br);
+  }
+  std::vector<double>& circ = scratch.circ;
+  circ.resize(m);
+  plan.irfft(fa, circ);
   std::vector<double>& out = scratch.corr;
-  out.assign(2 * max_lag + 1, 0.0);
+  out.resize(2 * max_lag + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const auto lag = static_cast<std::ptrdiff_t>(i) -
                      static_cast<std::ptrdiff_t>(max_lag);
     const std::size_t idx =
         lag >= 0 ? static_cast<std::size_t>(lag)
                  : m - static_cast<std::size_t>(-lag);
-    out[i] = fa[idx].real();
+    out[i] = circ[idx];
   }
 }
 

@@ -1,5 +1,6 @@
 #include "dsp/fft_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -138,41 +139,67 @@ void FftPlan::transform(std::span<Complex> data, bool inverse) const {
 }
 
 void FftPlan::rfft(std::span<const double> in, std::span<Complex> out) const {
-  VIBGUARD_REQUIRE(in.size() == n_, "input size must match plan size");
+  VIBGUARD_REQUIRE(in.size() <= n_, "input must not exceed the plan size");
   VIBGUARD_REQUIRE(out.size() == n_ / 2 + 1,
                    "rfft output needs n/2 + 1 bins");
+  const std::size_t len = in.size();
   if (n_ == 1) {
-    out[0] = Complex(in[0], 0.0);
+    out[0] = Complex(len == 1 ? in[0] : 0.0, 0.0);
     return;
   }
   if (n_ % 2 != 0) {
     // Odd length: no conjugate-symmetric split; run the complex path.
-    rscratch_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) rscratch_[i] = Complex(in[i], 0.0);
+    rscratch_.assign(n_, Complex(0.0, 0.0));
+    for (std::size_t i = 0; i < len; ++i) rscratch_[i] = Complex(in[i], 0.0);
     transform(rscratch_, false);
     for (std::size_t k = 0; k < out.size(); ++k) out[k] = rscratch_[k];
     return;
   }
 
-  // Pack adjacent real samples into one complex sequence of half length,
-  // transform, then split the even/odd sub-spectra by conjugate symmetry:
+  // Pack adjacent real samples into one complex sequence of half length
+  // (a straight copy: complex<double> arrays are array-of-double
+  // compatible), zero the padding, transform, then split the even/odd
+  // sub-spectra by conjugate symmetry:
   //   X[k] = E[k] + exp(-2*pi*i*k/n) * O[k].
   const std::size_t h = n_ / 2;
   rscratch_.resize(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    rscratch_[j] = Complex(in[2 * j], in[2 * j + 1]);
-  }
+  auto* packed = reinterpret_cast<double*>(rscratch_.data());
+  if (len > 0) std::memcpy(packed, in.data(), len * sizeof(double));
+  std::fill(packed + len, packed + n_, 0.0);
   half_->transform(rscratch_, false);
 
   const Complex z0 = rscratch_[0];
   out[0] = Complex(z0.real() + z0.imag(), 0.0);
   out[h] = Complex(z0.real() - z0.imag(), 0.0);
-  for (std::size_t k = 1; k < h; ++k) {
-    const Complex zk = rscratch_[k];
-    const Complex zc = std::conj(rscratch_[h - k]);
-    const Complex even = 0.5 * (zk + zc);
-    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
-    out[k] = even + rtwiddle_[k] * odd;
+  simd::ops().rfft_split(rscratch_.data(), rtwiddle_.data(), h, out.data());
+}
+
+void FftPlan::irfft(std::span<const Complex> in, std::span<double> out) const {
+  VIBGUARD_REQUIRE(n_ == 1 || n_ % 2 == 0,
+                   "irfft needs an even plan size (or 1)");
+  VIBGUARD_REQUIRE(in.size() == n_ / 2 + 1, "irfft input needs n/2 + 1 bins");
+  VIBGUARD_REQUIRE(out.size() <= n_, "output must not exceed the plan size");
+  if (n_ == 1) {
+    if (!out.empty()) out[0] = in[0].real();
+    return;
+  }
+
+  // Undo rfft's split. A real signal's spectrum satisfies
+  // X[h + k] = conj(X[h - k]), so the even/odd sub-spectra are
+  //   E[k] = (X[k] + conj(X[h - k])) / 2
+  //   O[k] = (X[k] - conj(X[h - k])) * exp(+2*pi*i*k/n) / 2
+  // and Z[k] = E[k] + i*O[k] is the h-point spectrum of the packed
+  // sequence z[j] = x[2j] + i*x[2j + 1]. Bin 0 pairs X[0] with X[h], both
+  // taken as real, under twiddle 1.
+  const std::size_t h = n_ / 2;
+  rscratch_.resize(h);
+  const double x0 = in[0].real(), xh = in[h].real();
+  rscratch_[0] = Complex(0.5 * (x0 + xh), 0.5 * (x0 - xh));
+  simd::ops().irfft_merge(in.data(), rtwiddle_.data(), h, rscratch_.data());
+  half_->transform(rscratch_, true);
+  if (!out.empty()) {
+    std::memcpy(out.data(), reinterpret_cast<const double*>(rscratch_.data()),
+                out.size() * sizeof(double));
   }
 }
 

@@ -4,9 +4,9 @@
 // path recomputes on every call: the bit-reversal permutation, per-stage
 // twiddle factors, and — for non-power-of-two sizes — the Bluestein chirp
 // sequence and the spectrum of its convolution kernel. Plans also provide a
-// real-input transform (rfft) that computes an even-N real FFT through an
-// N/2-point complex one, roughly halving the work of every
-// magnitude/power-spectrum call.
+// real-input transform (rfft) and its inverse (irfft) that run an even-N
+// real FFT through an N/2-point complex one, roughly halving the work of
+// every magnitude/power-spectrum call and of real-signal filtering.
 //
 // Plans are cached per thread by size (get_plan), so hot loops such as the
 // STFT pay the setup cost once per (thread, size) and the cache needs no
@@ -40,9 +40,17 @@ class FftPlan {
   void transform(std::span<Complex> data, bool inverse) const;
 
   /// Real-input DFT: writes the one-sided spectrum X[0..n/2] (n/2 + 1 bins)
-  /// of the size()-point input. Even sizes run through an n/2-point complex
+  /// of the size()-point input. An input shorter than size() is treated as
+  /// zero-padded to size(). Even sizes run through an n/2-point complex
   /// transform; odd sizes fall back to the complex path.
   void rfft(std::span<const double> in, std::span<Complex> out) const;
+
+  /// Inverse of rfft for size 1 and even sizes: reads the one-sided
+  /// spectrum X[0..n/2] of a real signal (the imaginary parts of X[0] and
+  /// X[n/2] are ignored) and writes the first out.size() <= size() samples
+  /// of its inverse DFT (scaled by 1/N, like transform(.., true)). Runs
+  /// through the same n/2-point complex plan as rfft.
+  void irfft(std::span<const Complex> in, std::span<double> out) const;
 
   /// One-sided magnitude spectrum |X[k]|/n into `out` (n/2 + 1 bins),
   /// matching magnitude_spectrum's normalization.

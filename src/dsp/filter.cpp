@@ -1,10 +1,13 @@
 #include "dsp/filter.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fft_plan.hpp"
 #include "dsp/simd.hpp"
 
 namespace vibguard::dsp {
@@ -150,6 +153,38 @@ std::vector<double> fir_filter(std::span<const double> x,
   return y;
 }
 
+std::size_t gain_fft_size(std::size_t n) { return next_pow2(n); }
+
+namespace {
+
+// Inverse-transforms a (scaled) one-sided spectrum into the first n samples
+// of `out`. The input signal is fully consumed by now, so `out` may alias it.
+void invert_spectrum(const std::vector<Complex>& spectrum, std::size_t n,
+                     double sample_rate, Signal& out) {
+  const std::size_t m = gain_fft_size(n);
+  out.reset(sample_rate);
+  out.resize(n);
+  get_plan(m).irfft(spectrum, out.samples());
+}
+
+}  // namespace
+
+void gain_curve_spectrum(const Signal& in, std::vector<Complex>& spectrum) {
+  const std::size_t m = gain_fft_size(in.size());
+  spectrum.resize(m / 2 + 1);
+  get_plan(m).rfft(in.samples(), spectrum);
+}
+
+void apply_gains_to_spectrum(std::vector<Complex>& spectrum,
+                             std::span<const double> gains, std::size_t n,
+                             double sample_rate, Signal& out) {
+  VIBGUARD_REQUIRE(spectrum.size() == gain_fft_size(n) / 2 + 1 &&
+                       gains.size() == spectrum.size(),
+                   "gain table and spectrum must match the filter grid");
+  for (std::size_t k = 0; k < spectrum.size(); ++k) spectrum[k] *= gains[k];
+  invert_spectrum(spectrum, n, sample_rate, out);
+}
+
 Signal apply_gain_curve(const Signal& in,
                         const std::function<double(double)>& gain) {
   Signal out;
@@ -166,23 +201,78 @@ void apply_gain_curve(const Signal& in,
     return;
   }
   const std::size_t n = in.size();
-  const std::size_t m = next_pow2(n);
+  const std::size_t m = gain_fft_size(n);
   const double fs = in.sample_rate();
-  work.assign(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < n; ++i) work[i] = Complex(in[i], 0.0);
-  fft_pow2(work, false);
-  // Scale bins conjugate-symmetrically so the inverse transform stays real.
-  for (std::size_t k = 0; k <= m / 2; ++k) {
-    const double f = static_cast<double>(k) * fs / static_cast<double>(m);
-    const double g = gain(f);
-    work[k] *= g;
-    if (k != 0 && k != m / 2) work[m - k] *= g;
+  gain_curve_spectrum(in, work);
+  for (std::size_t k = 0; k < work.size(); ++k) {
+    work[k] *= gain(bin_frequency(k, m, fs));
   }
-  fft_pow2(work, true);
-  // `in` is fully consumed; writing `out` now makes in-place calls safe.
-  if (&out != &in) out.reset(fs);
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = work[i].real();
+  invert_spectrum(work, n, fs, out);
+}
+
+void apply_gain_curve(const Signal& in, std::span<const double> gains,
+                      Signal& out, std::vector<std::complex<double>>& work) {
+  if (in.empty()) {
+    if (&out != &in) out = in;
+    return;
+  }
+  const std::size_t n = in.size();
+  const double fs = in.sample_rate();
+  gain_curve_spectrum(in, work);
+  apply_gains_to_spectrum(work, gains, n, fs, out);
+}
+
+namespace {
+
+struct GainTable {
+  GainCurveKey key;
+  std::size_t fft_size = 0;
+  double sample_rate = 0.0;
+  std::uint64_t last_use = 0;
+  std::vector<double> gains;
+};
+
+// Enough for every curve of a few devices at a few command-length grids;
+// a thread serving more shapes than this recomputes tables, it never grows.
+constexpr std::size_t kGainTableSlots = 32;
+
+}  // namespace
+
+std::span<const double> cached_gain_table(
+    const GainCurveKey& key, std::size_t n, double sample_rate,
+    const std::function<double(double)>& gain) {
+  thread_local std::vector<GainTable> cache;
+  thread_local std::uint64_t clock = 0;
+  const std::size_t m = gain_fft_size(n);
+  ++clock;
+  for (GainTable& t : cache) {
+    if (t.fft_size == m && t.sample_rate == sample_rate && t.key == key) {
+      t.last_use = clock;
+      return t.gains;
+    }
+  }
+  GainTable* slot = nullptr;
+  if (cache.size() < kGainTableSlots) {
+    // Reserved up front, so earlier tables never move.
+    cache.reserve(kGainTableSlots);
+    slot = &cache.emplace_back();
+  } else {
+    slot = &*std::min_element(cache.begin(), cache.end(),
+                              [](const GainTable& a, const GainTable& b) {
+                                return a.last_use < b.last_use;
+                              });
+  }
+  slot->key = key;
+  slot->fft_size = m;
+  slot->sample_rate = sample_rate;
+  slot->last_use = clock;
+  // An evicted table may have been larger; release the excess.
+  slot->gains.resize(m / 2 + 1);
+  slot->gains.shrink_to_fit();
+  for (std::size_t k = 0; k < slot->gains.size(); ++k) {
+    slot->gains[k] = gain(bin_frequency(k, m, sample_rate));
+  }
+  return slot->gains;
 }
 
 }  // namespace vibguard::dsp

@@ -19,19 +19,20 @@
 namespace vibguard::dsp {
 
 /// Buffers for FFT-based cross-correlation (cross_correlate /
-/// estimate_delay scratch overloads).
+/// estimate_delay scratch overloads): the two one-sided input spectra, the
+/// circular correlation they invert to, and the requested lag window.
 struct CorrelationScratch {
   std::vector<std::complex<double>> fa;
   std::vector<std::complex<double>> fb;
+  std::vector<double> circ;
   std::vector<double> corr;
 };
 
 /// The full scratch set used by one scoring thread.
 struct Scratch {
-  /// FFT work buffer for apply_gain_curve-style zero-phase filtering.
+  /// One-sided spectrum buffer for apply_gain_curve-style zero-phase
+  /// filtering.
   std::vector<std::complex<double>> cwork;
-  /// One-sided magnitude spectrum buffer (band-energy measurements).
-  std::vector<double> mag;
   /// Cross-correlation buffers for delay estimation.
   CorrelationScratch corr;
   /// Intermediate signals: a speaker-rendered waveform and its coupled

@@ -94,6 +94,31 @@ void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
   }
 }
 
+void rfft_split(const Complex* z, const Complex* rtw, std::size_t h,
+                Complex* out) {
+  for (std::size_t k = 1; k < h; ++k) {
+    const Complex zk = z[k];
+    const Complex zc = std::conj(z[h - k]);
+    const Complex even = 0.5 * (zk + zc);
+    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
+    out[k] = even + rtw[k] * odd;
+  }
+}
+
+void irfft_merge(const Complex* x, const Complex* rtw, std::size_t h,
+                 Complex* out) {
+  for (std::size_t k = 1; k < h; ++k) {
+    const double xr = x[k].real(), xi = x[k].imag();
+    const double cr = x[h - k].real(), ci = -x[h - k].imag();
+    const double er = 0.5 * (xr + cr), ei = 0.5 * (xi + ci);
+    const double dr = 0.5 * (xr - cr), di = 0.5 * (xi - ci);
+    const double wr = rtw[k].real(), wi = rtw[k].imag();
+    const double odd_r = dr * wr + di * wi;
+    const double odd_i = di * wr - dr * wi;
+    out[k] = Complex(er - odd_i, ei + odd_r);
+  }
+}
+
 double dot(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -140,6 +165,8 @@ const Ops kOps = {
     .fft_stages = &fft_stages,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
+    .rfft_split = &rfft_split,
+    .irfft_merge = &irfft_merge,
     .dot = &dot,
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,

@@ -23,7 +23,8 @@
 //
 // Numerical contract: kernels that map each output to an independent
 // expression (multiply, butterfly_stage, fft_stage2_4, fft_stages,
-// complex_multiply_to, rfft_split_power, linear_interp) are bit-identical
+// complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
+// linear_interp) are bit-identical
 // across all levels —
 // the vector lanes perform the same operations in the same order as the
 // scalar code, and the SIMD translation units disable FP contraction. The
@@ -102,6 +103,18 @@ struct Ops {
   /// Bins 0 and h are the caller's (they need only z[0]).
   void (*rfft_split_power)(const Complex* z, const Complex* rtw,
                            std::size_t h, double norm2, double* out);
+  /// The same split keeping the complex bins (the rfft output), for
+  /// k = 1..h-1: out[k] = even + rtw[k] * odd. `out` must not alias `z`.
+  void (*rfft_split)(const Complex* z, const Complex* rtw, std::size_t h,
+                     Complex* out);
+  /// The inverse split (irfft): from a one-sided spectrum x[0..h], the
+  /// packed half-length spectrum bins k = 1..h-1:
+  ///   e = 0.5 * (x[k] + conj(x[h-k])),  d = 0.5 * (x[k] - conj(x[h-k]))
+  ///   o = d * conj(rtw[k]) = (dr*wr + di*wi, di*wr - dr*wi)
+  ///   out[k] = e + i*o = (er - oi, ei + or)
+  /// Bin 0 is the caller's. `out` must not alias `x`.
+  void (*irfft_merge)(const Complex* x, const Complex* rtw, std::size_t h,
+                      Complex* out);
 
   /// sum(a[i] * b[i]) for i in [0, n). Reduction: level-dependent rounding.
   double (*dot)(const double* a, const double* b, std::size_t n);
@@ -189,6 +202,10 @@ void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n);
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
                       double norm2, double* out);
+void rfft_split(const Complex* z, const Complex* rtw, std::size_t h,
+                Complex* out);
+void irfft_merge(const Complex* x, const Complex* rtw, std::size_t h,
+                 Complex* out);
 double dot(const double* a, const double* b, std::size_t n);
 double dot_reverse(const double* taps, const double* x, std::size_t n);
 void linear_interp(const double* in, std::size_t in_size, double ratio,

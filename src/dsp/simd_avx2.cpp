@@ -5,7 +5,7 @@
 //
 // Lane discipline: the elementwise kernels (multiply, butterfly_stage,
 // fft_stage2_4, fft_stages, complex_multiply_to, rfft_split_power,
-// linear_interp) evaluate per-output
+// rfft_split, irfft_merge, linear_interp) evaluate per-output
 // expressions with the same operations in the same order as the scalar
 // kernels — multiplication/addition operand swaps only where IEEE-754
 // results are bitwise unchanged — so they are bit-identical to scalar. The
@@ -250,6 +250,73 @@ void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
   }
 }
 
+void rfft_split(const Complex* z, const Complex* rtw, std::size_t h,
+                Complex* out) {
+  const double* pz = reinterpret_cast<const double*>(z);
+  const double* ptw = reinterpret_cast<const double*>(rtw);
+  double* po = reinterpret_cast<double*>(out);
+  const __m256d cm = conj_mask();
+  const __m256d halfv = _mm256_set1_pd(0.5);
+  const __m256d w1 = _mm256_set_pd(-0.5, 0.0, -0.5, 0.0);
+  std::size_t k = 1;
+  for (; k + 2 <= h; k += 2) {
+    // Lane pair p holds z[k+p] and conj(z[h - (k+p)]), as in
+    // rfft_split_power.
+    const __m256d zk = _mm256_loadu_pd(pz + 2 * k);
+    __m256d zc = _mm256_loadu_pd(pz + 2 * (h - k - 1));
+    zc = _mm256_xor_pd(_mm256_permute2f128_pd(zc, zc, 0x01), cm);
+    const __m256d even = _mm256_mul_pd(halfv, _mm256_add_pd(zk, zc));
+    const __m256d odd = cmul(_mm256_sub_pd(zk, zc), w1);
+    _mm256_storeu_pd(po + 2 * k, _mm256_add_pd(
+                                     even, cmul(odd, _mm256_loadu_pd(
+                                                         ptw + 2 * k))));
+  }
+  if (k < h) {
+    const Complex zk = z[k];
+    const Complex zc = std::conj(z[h - k]);
+    const Complex even = 0.5 * (zk + zc);
+    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
+    out[k] = even + rtw[k] * odd;
+  }
+}
+
+void irfft_merge(const Complex* x, const Complex* rtw, std::size_t h,
+                 Complex* out) {
+  const double* px = reinterpret_cast<const double*>(x);
+  const double* ptw = reinterpret_cast<const double*>(rtw);
+  double* po = reinterpret_cast<double*>(out);
+  const __m256d cm = conj_mask();
+  const __m256d halfv = _mm256_set1_pd(0.5);
+  const __m256d neg = _mm256_set1_pd(-0.0);
+  std::size_t k = 1;
+  for (; k + 2 <= h; k += 2) {
+    const __m256d xk = _mm256_loadu_pd(px + 2 * k);
+    __m256d xc = _mm256_loadu_pd(px + 2 * (h - k - 1));
+    xc = _mm256_xor_pd(_mm256_permute2f128_pd(xc, xc, 0x01), cm);
+    const __m256d e = _mm256_mul_pd(halfv, _mm256_add_pd(xk, xc));
+    const __m256d d = _mm256_mul_pd(halfv, _mm256_sub_pd(xk, xc));
+    const __m256d w = _mm256_loadu_pd(ptw + 2 * k);
+    const __m256d wr = _mm256_movedup_pd(w);       // [wr0 wr0 wr1 wr1]
+    const __m256d wi = _mm256_permute_pd(w, 0xF);  // [wi0 wi0 wi1 wi1]
+    const __m256d ds = _mm256_permute_pd(d, 0x5);  // [di0 dr0 di1 dr1]
+    // odd = (dr*wr - (-(di*wi)), di*wr + (-(dr*wi))): subtracting a
+    // negated product is bitwise the scalar sum, adding one the difference.
+    const __m256d odd = _mm256_addsub_pd(
+        _mm256_mul_pd(d, wr), _mm256_xor_pd(_mm256_mul_pd(ds, wi), neg));
+    // e + i*odd = (er - odd_i, ei + odd_r).
+    _mm256_storeu_pd(po + 2 * k,
+                     _mm256_addsub_pd(e, _mm256_permute_pd(odd, 0x5)));
+  }
+  if (k < h) {
+    const double xr = x[k].real(), xi = x[k].imag();
+    const double cr = x[h - k].real(), ci = -x[h - k].imag();
+    const double er = 0.5 * (xr + cr), ei = 0.5 * (xi + ci);
+    const double dr = 0.5 * (xr - cr), di = 0.5 * (xi - ci);
+    const double wr = rtw[k].real(), wi = rtw[k].imag();
+    out[k] = Complex(er - (di * wr - dr * wi), ei + (dr * wr + di * wi));
+  }
+}
+
 double dot(const double* a, const double* b, std::size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
@@ -371,6 +438,8 @@ const Ops kOps = {
     .fft_stages = &fft_stages,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
+    .rfft_split = &rfft_split,
+    .irfft_merge = &irfft_merge,
     .dot = &dot,
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,

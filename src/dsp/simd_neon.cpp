@@ -102,6 +102,8 @@ const Ops kOps = {
     .fft_stages = &scalar::fft_stages,
     .complex_multiply_to = &scalar::complex_multiply_to,
     .rfft_split_power = &scalar::rfft_split_power,
+    .rfft_split = &scalar::rfft_split,
+    .irfft_merge = &scalar::irfft_merge,
     .dot = &dot,
     .dot_reverse = &dot_reverse,
     .linear_interp = &scalar::linear_interp,

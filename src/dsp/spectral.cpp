@@ -28,30 +28,6 @@ double band_energy_fraction(const Signal& signal, double low_hz,
   return band_energy(signal, low_hz, high_hz) / total;
 }
 
-double band_energy_fraction(const Signal& signal, double low_hz,
-                            double high_hz, std::vector<double>& mag) {
-  VIBGUARD_REQUIRE(low_hz <= high_hz, "band bounds must satisfy low <= high");
-  if (signal.empty()) return 0.0;
-  const std::size_t n = signal.size();
-  mag.resize(n / 2 + 1);
-  magnitude_spectrum(signal.samples(), mag);
-  // Accumulate each sum in the same bin order as band_energy so the result
-  // is bit-identical to the two-pass overload.
-  const double nyquist = signal.sample_rate() / 2.0;
-  double total = 0.0;
-  for (std::size_t k = 0; k < mag.size(); ++k) {
-    const double f = bin_frequency(k, n, signal.sample_rate());
-    if (f >= 0.0 && f <= nyquist) total += mag[k] * mag[k];
-  }
-  if (total <= 0.0) return 0.0;
-  double band = 0.0;
-  for (std::size_t k = 0; k < mag.size(); ++k) {
-    const double f = bin_frequency(k, n, signal.sample_rate());
-    if (f >= low_hz && f <= high_hz) band += mag[k] * mag[k];
-  }
-  return band / total;
-}
-
 double spectral_centroid(const Signal& signal) {
   if (signal.empty()) return 0.0;
   const auto mag = magnitude_spectrum(signal.samples());

@@ -19,12 +19,6 @@ double band_energy(const Signal& signal, double low_hz, double high_hz);
 double band_energy_fraction(const Signal& signal, double low_hz,
                             double high_hz);
 
-/// Allocation-free overload: computes the magnitude spectrum once into the
-/// caller-owned `mag` buffer (reusing capacity) and accumulates band and
-/// total energy from it. Bit-identical to the allocating overload.
-double band_energy_fraction(const Signal& signal, double low_hz,
-                            double high_hz, std::vector<double>& mag);
-
 /// Magnitude-weighted mean frequency; 0 for a silent signal.
 double spectral_centroid(const Signal& signal);
 

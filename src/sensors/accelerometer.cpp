@@ -1,14 +1,36 @@
 #include "sensors/accelerometer.hpp"
 
 #include <cmath>
+#include <complex>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/filter.hpp"
 #include "dsp/resample.hpp"
-#include "dsp/spectral.hpp"
 
 namespace vibguard::sensors {
+namespace {
+
+// Effect 4's driver read off the zero-padded one-sided spectrum of an
+// n-sample excitation: energy in the bins at or below `cutoff_hz` over the
+// energy of all bins 0..m/2 (m = dsp::gain_fft_size(n)); 0 for silence.
+double lf_fraction(std::span<const std::complex<double>> spectrum,
+                   std::size_t n, double sample_rate, double cutoff_hz) {
+  const std::size_t m = dsp::gain_fft_size(n);
+  double band = 0.0, total = 0.0;
+  for (std::size_t k = 0; k < spectrum.size(); ++k) {
+    const double re = spectrum[k].real(), im = spectrum[k].imag();
+    const double e = re * re + im * im;
+    total += e;
+    if (dsp::bin_frequency(k, m, sample_rate) <= cutoff_hz) band += e;
+  }
+  return total > 0.0 ? band / total : 0.0;
+}
+
+}  // namespace
 
 Accelerometer::Accelerometer(AccelerometerConfig config) : config_(config) {
   VIBGUARD_REQUIRE(config_.sample_rate > 0.0, "sample rate must be positive");
@@ -33,9 +55,31 @@ double Accelerometer::sensitivity_gain(double f_hz) const {
          config_.lf_boost_gain * std::exp(-f_hz / config_.lf_boost_corner_hz);
 }
 
+std::span<const double> Accelerometer::coupling_table(
+    const Signal& audio) const {
+  return dsp::cached_gain_table(
+      {"accel.coupling",
+       {config_.coupling_knee_hz, config_.coupling_low_gain,
+        config_.coupling_order}},
+      audio.size(), audio.sample_rate(),
+      [this](double f) { return coupling_gain(f); });
+}
+
+std::span<const double> Accelerometer::sensitivity_table(
+    const Signal& vibration) const {
+  return dsp::cached_gain_table(
+      {"accel.sensitivity",
+       {config_.lf_boost_gain, config_.lf_boost_corner_hz, 0.0}},
+      vibration.size(), vibration.sample_rate(),
+      [this](double f) { return sensitivity_gain(f); });
+}
+
 double Accelerometer::lf_dominance(const Signal& audio) const {
-  return dsp::band_energy_fraction(audio, 0.0,
-                                   config_.lf_dominance_cutoff_hz);
+  if (audio.empty()) return 0.0;
+  std::vector<std::complex<double>> spectrum;
+  dsp::gain_curve_spectrum(audio, spectrum);
+  return lf_fraction(spectrum, audio.size(), audio.sample_rate(),
+                     config_.lf_dominance_cutoff_hz);
 }
 
 Signal Accelerometer::capture_with_motion(const Signal& audio,
@@ -78,16 +122,17 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
     return;
   }
 
-  // Effect 4's driver: measured before any filtering, on the excitation as
-  // the amplifier sees it.
-  const double dominance = dsp::band_energy_fraction(
-      audio, 0.0, config_.lf_dominance_cutoff_hz, scratch.mag);
+  // Effect 4's driver is measured before any filtering, on the excitation
+  // as the amplifier sees it. It reads the same forward spectrum that
+  // effect 1 (conductive coupling) then scales and inverts.
+  dsp::gain_curve_spectrum(audio, scratch.cwork);
+  const double dominance =
+      lf_fraction(scratch.cwork, audio.size(), audio.sample_rate(),
+                  config_.lf_dominance_cutoff_hz);
   const double excitation_rms = audio.rms();
-
-  // Effect 1: conductive coupling.
-  dsp::apply_gain_curve(
-      audio, [this](double f) { return coupling_gain(f); }, scratch.coupled,
-      scratch.cwork);
+  dsp::apply_gains_to_spectrum(scratch.cwork, coupling_table(audio),
+                               audio.size(), audio.sample_rate(),
+                               scratch.coupled);
 
   // Effect 2: naive 200 Hz sampling — deliberately NO anti-alias filter
   // (unless the ablation switch is set).
@@ -98,9 +143,7 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
   }
 
   // Effect 3: low-frequency sensitivity artifact (applied in place).
-  dsp::apply_gain_curve(
-      out, [this](double f) { return sensitivity_gain(f); }, out,
-      scratch.cwork);
+  dsp::apply_gain_curve(out, sensitivity_table(out), out, scratch.cwork);
 
   // Effect 4: amplifier noise grows with low-frequency dominance.
   const double sat = config_.lf_noise_saturation_rms;

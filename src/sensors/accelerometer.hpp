@@ -18,6 +18,8 @@
 //     *noisy* in the vibration domain and therefore decorrelated.
 #pragma once
 
+#include <span>
+
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 #include "dsp/scratch.hpp"
@@ -95,11 +97,18 @@ class Accelerometer {
   /// Post-sampling sensitivity (effect 3) at vibration frequency `f_hz`.
   double sensitivity_gain(double f_hz) const;
 
-  /// Fraction of `audio` energy below the low-frequency dominance cutoff —
-  /// the quantity that drives amplifier-noise injection (effect 4).
+  /// Fraction of `audio` energy at or below the low-frequency dominance
+  /// cutoff — the quantity that drives amplifier-noise injection
+  /// (effect 4). Measured on the coupling filter's grid (the excitation
+  /// zero-padded to dsp::gain_fft_size), exactly as capture() does.
   double lf_dominance(const Signal& audio) const;
 
  private:
+  /// Effect 1 and effect 3 curves sampled on the filter grid of `audio` /
+  /// `vibration` (per-thread cached, keyed by the curve parameters).
+  std::span<const double> coupling_table(const Signal& audio) const;
+  std::span<const double> sensitivity_table(const Signal& vibration) const;
+
   AccelerometerConfig config_;
 };
 

@@ -41,8 +41,12 @@ Signal Speaker::render(const Signal& in) const {
 
 void Speaker::render_into(const Signal& in, Signal& out,
                           std::vector<std::complex<double>>& work) const {
-  dsp::apply_gain_curve(in, [this](double f) { return response(f); }, out,
-                        work);
+  // The response depends only on the two cut-offs, so its sampled table is
+  // shared by every speaker with the same driver limits.
+  const auto gains = dsp::cached_gain_table(
+      {"speaker.response", {config_.low_cut_hz, config_.high_cut_hz, 0.0}},
+      in.size(), in.sample_rate(), [this](double f) { return response(f); });
+  dsp::apply_gain_curve(in, gains, out, work);
   if (config_.distortion > 0.0) {
     // Gentle odd-order nonlinearity (tanh soft clipper) around the signal's
     // own scale, so distortion is level-independent in this normalized

@@ -31,8 +31,9 @@ class Speaker {
 
   Signal render(const Signal& in) const;
 
-  /// Allocation-free overload: renders into `out` using `work` as the FFT
-  /// buffer, both reusing existing capacity.
+  /// Allocation-free overload: renders into `out` using `work` as the
+  /// spectrum buffer, both reusing existing capacity. The response is
+  /// sampled once per filter grid into a per-thread cached table.
   void render_into(const Signal& in, Signal& out,
                    std::vector<std::complex<double>>& work) const;
 

@@ -118,6 +118,32 @@ TEST(TraceTest, WarmWorkspaceRunsAllocationFree) {
   for (const StageTrace& st : trace.stages) {
     EXPECT_EQ(st.allocations, 0u) << st.name;
   }
+
+  // A command of another length (other FFT grids, other cached gain
+  // tables) warms the same workspace once; after that, alternating the two
+  // stays allocation-free in every stage.
+  eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 72);
+  Rng spk_rng(73);
+  const auto other = sim.legitimate_trial(
+      speech::command_by_text("unlock the front door"),
+      speech::sample_speaker(speech::Sex::kFemale, spk_rng));
+  ASSERT_NE(other.va.size(), t.va.size());
+  OracleSegmenter other_seg(other.alignment,
+                            eval::reference_sensitive_set());
+  Rng r3(74);
+  sys.score(other.va, other.wearable, &other_seg, r3, workspace, &trace);
+  for (int round = 0; round < 2; ++round) {
+    Rng ra(68), rb(74);
+    EXPECT_EQ(sys.score(t.va, t.wearable, &seg, ra, workspace, &trace),
+              first);
+    for (const StageTrace& st : trace.stages) {
+      EXPECT_EQ(st.allocations, 0u) << st.name << " (first command)";
+    }
+    sys.score(other.va, other.wearable, &other_seg, rb, workspace, &trace);
+    for (const StageTrace& st : trace.stages) {
+      EXPECT_EQ(st.allocations, 0u) << st.name << " (second command)";
+    }
+  }
 }
 
 TEST(TraceTest, TraceResetsBetweenRuns) {

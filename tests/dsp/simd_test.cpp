@@ -230,6 +230,33 @@ TEST(SimdKernelTest, RfftSplitPowerBitIdenticalAcrossLevels) {
   }
 }
 
+TEST(SimdKernelTest, RealFftSplitAndMergeBitIdenticalAcrossLevels) {
+  Rng rng(107);
+  LevelGuard guard;
+  for (std::size_t h : {2u, 3u, 4u, 5u, 8u, 16u, 129u, 256u}) {
+    const auto z = random_complex(rng, h + 1);
+    const auto rtw = random_complex(rng, h + 1);
+    std::vector<Complex> split_ref(h + 1), merge_ref(h + 1);
+    scalar::rfft_split(z.data(), rtw.data(), h, split_ref.data());
+    scalar::irfft_merge(z.data(), rtw.data(), h, merge_ref.data());
+    for (Level level : available_levels()) {
+      ASSERT_TRUE(set_level(level));
+      std::vector<Complex> split(h + 1), merge(h + 1);
+      ops().rfft_split(z.data(), rtw.data(), h, split.data());
+      ops().irfft_merge(z.data(), rtw.data(), h, merge.data());
+      // The kernels own bins 1..h-1.
+      for (std::size_t k = 1; k < h; ++k) {
+        EXPECT_EQ(split[k].real(), split_ref[k].real())
+            << level_name(level) << " h=" << h << " k=" << k;
+        EXPECT_EQ(split[k].imag(), split_ref[k].imag());
+        EXPECT_EQ(merge[k].real(), merge_ref[k].real())
+            << level_name(level) << " h=" << h << " k=" << k;
+        EXPECT_EQ(merge[k].imag(), merge_ref[k].imag());
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, LinearInterpBitIdenticalAcrossLevels) {
   Rng rng(105);
   LevelGuard guard;

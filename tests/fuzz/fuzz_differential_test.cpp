@@ -23,6 +23,7 @@
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
+#include "dsp/filter.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/simd.hpp"
@@ -111,6 +112,111 @@ TEST(FuzzDifferential, RfftMatchesNaiveDft) {
     for (std::size_t k = 0; k < pow.size(); ++k) {
       EXPECT_NEAR(pow[k], pow_ref[k], tol) << "bin " << k;
     }
+  }
+}
+
+TEST(FuzzDifferential, IrfftRoundTripsAndMatchesNaiveDft) {
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    // Even sizes 2..4096, log-uniform so small and large plans both get
+    // exercised; every other trial lands exactly on a power of two.
+    const double log_half = rng.uniform(0.0, 11.0);
+    auto n = 2 * static_cast<std::size_t>(std::exp2(log_half));
+    if (it % 2 == 0) n = std::size_t{1} << (1 + static_cast<int>(log_half));
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const auto x = random_vector(rng, n, -1.0, 1.0);
+    const dsp::FftPlan& plan = dsp::get_plan(n);
+    const double tol = 1e-12 * static_cast<double>(n) + 1e-12;
+
+    // Round trip: irfft(rfft(x)) == x.
+    std::vector<dsp::Complex> spec(n / 2 + 1);
+    plan.rfft(x, spec);
+    std::vector<double> back(n);
+    plan.irfft(spec, back);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(back[i], x[i], tol) << "sample " << i;
+    }
+
+    // A random one-sided spectrum (not necessarily from a real signal's
+    // rfft: X[0] and X[n/2] carry imaginary parts irfft must ignore)
+    // against the direct inverse DFT.
+    std::vector<dsp::Complex> rand_spec(n / 2 + 1);
+    for (auto& v : rand_spec) {
+      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    }
+    std::vector<double> got(n);
+    plan.irfft(rand_spec, got);
+    const auto want = testing::naive_irfft(rand_spec, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(got[i], want[i], tol) << "sample " << i;
+    }
+
+    // A shorter output keeps exactly the leading samples, and rfft of a
+    // short input equals rfft of the explicitly zero-padded one.
+    const auto keep = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    std::vector<double> head(keep);
+    plan.irfft(rand_spec, head);
+    for (std::size_t i = 0; i < keep; ++i) EXPECT_EQ(head[i], got[i]);
+    std::vector<double> padded(n, 0.0);
+    std::copy_n(x.begin(), keep, padded.begin());
+    std::vector<dsp::Complex> short_spec(n / 2 + 1), pad_spec(n / 2 + 1);
+    plan.rfft(std::span<const double>(x.data(), keep), short_spec);
+    plan.rfft(padded, pad_spec);
+    for (std::size_t k = 0; k < short_spec.size(); ++k) {
+      EXPECT_EQ(short_spec[k], pad_spec[k]) << "bin " << k;
+    }
+  }
+}
+
+TEST(FuzzDifferential, GainCurveMatchesNaiveZeroPhaseFilter) {
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  // 1, 2, 3 and every 2^k - 1, 2^k, 2^k + 1 up to a 512-point grid.
+  std::vector<std::size_t> sizes = {1, 2, 3};
+  for (std::size_t p = 4; p <= 256; p *= 2) {
+    sizes.insert(sizes.end(), {p - 1, p, p + 1});
+  }
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    const std::size_t n = sizes[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(sizes.size()) - 1))];
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const double fs = rng.uniform(100.0, 16000.0);
+    const Signal in(rng.gaussian_vector(n), fs);
+    // A smooth random curve with a nonzero DC gain.
+    const double g0 = rng.uniform(0.1, 2.0);
+    const double g1 = rng.uniform(-0.09, 0.09);
+    const double w = rng.uniform(1.0, 20.0) / fs;
+    const auto gain = [=](double f) { return g0 + g1 * std::cos(w * f); };
+
+    const Signal got = dsp::apply_gain_curve(in, gain);
+    const Signal want = testing::naive_gain_filter(in, gain);
+    ASSERT_EQ(got.size(), n);
+    EXPECT_EQ(got.sample_rate(), fs);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-10) << "sample " << i;
+    }
+    if (n == 1) EXPECT_EQ(got[0], gain(0.0) * in[0]);
+
+    // The table overload, fed the curve sampled on the same grid, is
+    // bit-identical — in place, too.
+    const std::size_t m = dsp::gain_fft_size(n);
+    std::vector<double> table(m / 2 + 1);
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      table[k] = gain(static_cast<double>(k) * fs / static_cast<double>(m));
+    }
+    Signal tabled = in;
+    std::vector<dsp::Complex> work;
+    dsp::apply_gain_curve(tabled, table, tabled, work);
+    ASSERT_EQ(tabled.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(tabled[i], got[i]);
   }
 }
 
@@ -213,6 +319,81 @@ TEST(FuzzDifferential, CrossCorrelateMatchesDirectReference) {
   }
 }
 
+TEST(FuzzDifferential, CrossCorrelateFftPathAtPaddingBoundaries) {
+  // The FFT path pads to m = next_pow2(max(na, nb) + max_lag), the smallest
+  // power of two with no circular wrap inside the lag window. Put
+  // max(na, nb) + max_lag exactly on a power of two and one either side,
+  // with balanced and very unequal lengths and with max_lag >= na, and hold
+  // every lag and the estimated delay to the direct reference.
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  enum Shape { kBalanced, kShortA, kShortB, kLagPastA, kShapes };
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    const auto shape = static_cast<Shape>(it % kShapes);
+    const auto pow2 = std::size_t{1} << rng.uniform_int(11, 12);
+    const auto target =
+        static_cast<std::size_t>(static_cast<std::int64_t>(pow2) +
+                                 rng.uniform_int(-1, 1));
+    std::size_t na = 0, nb = 0, lag = 0;
+    switch (shape) {
+      case kBalanced:
+        lag = static_cast<std::size_t>(rng.uniform_int(200, 400));
+        na = target - lag;
+        nb = na - static_cast<std::size_t>(rng.uniform_int(0, 50));
+        if (it % 8 < 4) std::swap(na, nb);
+        break;
+      case kShortA:
+        na = static_cast<std::size_t>(rng.uniform_int(300, 400));
+        lag = static_cast<std::size_t>(rng.uniform_int(450, 600));
+        nb = target - lag;
+        break;
+      case kShortB:
+        nb = static_cast<std::size_t>(rng.uniform_int(300, 400));
+        lag = static_cast<std::size_t>(rng.uniform_int(450, 600));
+        na = target - lag;
+        break;
+      default:  // kLagPastA: the window reaches beyond a's whole length.
+        na = static_cast<std::size_t>(rng.uniform_int(370, 450));
+        lag = na + static_cast<std::size_t>(rng.uniform_int(0, 200));
+        nb = target - lag;
+        break;
+    }
+    SCOPED_TRACE("na = " + std::to_string(na) + " nb = " +
+                 std::to_string(nb) + " max_lag = " + std::to_string(lag));
+    // Stay on the FFT path (see correlate.cpp's crossover).
+    ASSERT_GE(std::min(na, nb) * (2 * lag + 1), std::size_t{1} << 18);
+    ASSERT_EQ(std::max(na, nb) + lag, target);
+
+    // b carries a copy of a at a planted delay plus noise, so the peak is
+    // a real one rather than the best of random products.
+    const auto a = rng.gaussian_vector(na);
+    auto b = rng.gaussian_vector(nb, 0.5);
+    const auto planted = rng.uniform_int(-static_cast<std::int64_t>(lag),
+                                         static_cast<std::int64_t>(lag));
+    for (std::size_t n = 0; n < na; ++n) {
+      const std::int64_t m = static_cast<std::int64_t>(n) + planted;
+      if (m >= 0 && m < static_cast<std::int64_t>(nb)) {
+        b[static_cast<std::size_t>(m)] += a[n];
+      }
+    }
+
+    const auto got = dsp::cross_correlate(a, b, lag);
+    const auto ref = testing::naive_cross_correlate(a, b, lag);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], ref[i], 1e-9 * (1.0 + std::abs(ref[i])))
+          << "lag index " << i;
+    }
+    const auto ref_best =
+        std::max_element(ref.begin(), ref.end()) - ref.begin();
+    EXPECT_EQ(dsp::estimate_delay(a, b, lag),
+              ref_best - static_cast<std::ptrdiff_t>(lag));
+  }
+}
+
 TEST(FuzzDifferential, DecimateAliasMatchesNaiveLinearResampler) {
   const std::size_t iters = testing::fuzz_iterations();
   const std::uint64_t base = testing::fuzz_base_seed();
@@ -311,7 +492,8 @@ TEST(FuzzDifferential, ComputeRocMatchesBruteForce) {
 // Re-runs the DSP pipelines at every dispatch level this build + CPU
 // provides and holds them to the documented numerical contract versus the
 // scalar reference: pipelines built purely from elementwise kernels (FFT
-// transforms, planned STFT power, decimate_alias) must agree bit-for-bit;
+// transforms, planned STFT power, decimate_alias, the real-FFT gain filter)
+// must agree bit-for-bit;
 // pipelines through the reduction kernels (FIR resample, correlation_2d,
 // MFCC) to ULP-scaled tolerance.
 TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
@@ -360,6 +542,10 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
         rng.gaussian_vector(
             static_cast<std::size_t>(rng.uniform_int(400, 1600))),
         16000.0);
+    const Signal gain_sig(
+        rng.gaussian_vector(static_cast<std::size_t>(rng.uniform_int(1, 700))),
+        rng.uniform(400.0, 16000.0));
+    const auto gain = [](double f) { return 1.0 / (1.0 + f / 300.0); };
 
     // Scalar pass: the reference every other level is held to.
     ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
@@ -371,6 +557,7 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     const Signal rs_ref = dsp::resample(rs_sig, rs_target);
     const double corr_ref = dsp::correlation_2d(corr_a, corr_b);
     const auto mfcc_ref = dsp::compute_mfcc(mfcc_sig);
+    const Signal gain_ref = dsp::apply_gain_curve(gain_sig, gain);
 
     for (dsp::simd::Level level : levels) {
       if (level == dsp::simd::Level::kScalar) continue;
@@ -397,6 +584,12 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       ASSERT_EQ(deci_got.size(), deci_ref.size());
       for (std::size_t i = 0; i < deci_got.size(); ++i) {
         EXPECT_EQ(deci_got[i], deci_ref[i]) << "sample " << i;
+      }
+      // Real-FFT gain filter (rfft, scale, irfft): bit-identical.
+      const Signal gain_got = dsp::apply_gain_curve(gain_sig, gain);
+      ASSERT_EQ(gain_got.size(), gain_ref.size());
+      for (std::size_t i = 0; i < gain_got.size(); ++i) {
+        EXPECT_EQ(gain_got[i], gain_ref[i]) << "sample " << i;
       }
 
       // Reduction-kernel pipelines: ULP-scaled tolerance.

@@ -26,6 +26,15 @@ std::vector<Complex> naive_dft(std::span<const Complex> x, bool inverse);
 /// summation — the reference for dsp::rfft / FftPlan::rfft.
 std::vector<Complex> naive_rfft(std::span<const double> x);
 
+/// Inverse of naive_rfft: the n real samples whose one-sided spectrum is
+/// `spectrum` (n/2 + 1 bins), by direct summation over the full spectrum
+/// rebuilt with X[n - k] = conj(X[k]) (imaginary parts of X[0] and, for
+/// even n, X[n/2] dropped), scaled by 1/n — the reference for
+/// FftPlan::irfft. The n roots of unity are tabulated once per call, so
+/// the O(n^2) sum is cheap enough for fuzzing at a few thousand points.
+std::vector<double> naive_irfft(std::span<const Complex> spectrum,
+                                std::size_t n);
+
 /// One-sided magnitude spectrum |X[k]|/n — the reference for
 /// dsp::magnitude_spectrum and FftPlan::magnitude.
 std::vector<double> naive_magnitude_spectrum(std::span<const double> x);

@@ -26,6 +26,27 @@ std::vector<double> naive_cross_correlate(std::span<const double> a,
   return out;
 }
 
+Signal naive_gain_filter(const Signal& in,
+                         const std::function<double(double)>& gain) {
+  const std::size_t n = in.size();
+  if (n == 0) return in;
+  std::size_t m = 1;
+  while (m < n) m *= 2;
+  const double fs = in.sample_rate();
+  std::vector<Complex> x(m, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < n; ++i) x[i] = Complex(in[i], 0.0);
+  std::vector<Complex> spec = naive_dft(x, false);
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t mirrored = k <= m / 2 ? k : m - k;
+    spec[k] *= gain(static_cast<double>(mirrored) * fs /
+                    static_cast<double>(m));
+  }
+  const std::vector<Complex> back = naive_dft(spec, true);
+  std::vector<double> out(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) out[i] = back[i].real();
+  return Signal(std::move(out), fs);
+}
+
 Signal naive_linear_resample(const Signal& in, double target_rate) {
   if (in.empty()) return Signal({}, target_rate);
   const double step = in.sample_rate() / target_rate;

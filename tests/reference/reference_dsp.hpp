@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,14 @@ namespace vibguard::testing {
 std::vector<double> naive_cross_correlate(std::span<const double> a,
                                           std::span<const double> b,
                                           std::size_t max_lag);
+
+/// Zero-phase gain filter straight from its definition, the reference for
+/// dsp::apply_gain_curve: zero-pad to the next power of two m >= n, take
+/// the full m-point DFT, multiply bin k by gain(f_k) with f_k = k*fs/m for
+/// k <= m/2 and (m - k)*fs/m above (the mirrored negative frequencies),
+/// inverse-DFT and keep the real part of the first n samples.
+Signal naive_gain_filter(const Signal& in,
+                         const std::function<double(double)>& gain);
 
 /// Textbook linear resampler: output sample i is the linear interpolation
 /// of the input at position i * in_rate / target_rate. Reference for

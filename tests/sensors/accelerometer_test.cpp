@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
@@ -75,6 +77,52 @@ TEST(AccelerometerTest, LfDominanceMeasuresBandFraction) {
   const Signal high = dsp::tone(2000.0, 1.0, 16000.0, 0.05);
   EXPECT_GT(acc.lf_dominance(low), 0.95);
   EXPECT_LT(acc.lf_dominance(high), 0.05);
+}
+
+TEST(AccelerometerTest, LfDominanceIsTheValueCaptureUses) {
+  // Effect 4's noise level is base + coeff * dominance^2 * rms with
+  // saturation off. Recover the noise stddev capture() applied from two
+  // captures that differ only in lf_noise_coeff (same rng stream, so the
+  // same unit gaussians) and check it against the public probe. The
+  // 19301-sample excitation is padded to a 32768-point grid, where the
+  // dominance differs from the exact-length spectrum's by ~2e-5
+  // (relative), so a probe measuring anything else misses the 1e-12
+  // bound by orders of magnitude.
+  AccelerometerConfig cfg = quiet_config();
+  cfg.lf_noise_saturation_rms = 0.0;
+  const Accelerometer deterministic(cfg);
+  cfg.lf_noise_coeff = 1.0;
+  const Accelerometer noisy(cfg);
+
+  Rng src(11);
+  std::vector<double> x(19301);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double t = static_cast<double>(i) / 16000.0;
+    x[i] = 0.05 * std::sin(2.0 * std::numbers::pi * 300.0 * t) +
+           0.04 * std::sin(2.0 * std::numbers::pi * 1500.0 * t) +
+           src.gaussian(0.0, 0.01);
+  }
+  const Signal mixed(std::move(x), 16000.0);
+
+  Rng r_det(12), r_noisy(12), r_unit(12);
+  const Signal det = deterministic.capture(mixed, r_det);
+  const Signal vib = noisy.capture(mixed, r_noisy);
+  ASSERT_EQ(det.size(), vib.size());
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < vib.size(); ++i) {
+    const double z = r_unit.gaussian();
+    num += (vib[i] - det[i]) * z;
+    den += z * z;
+  }
+  const double noise_rms = num / den;
+
+  const double d = noisy.lf_dominance(mixed);
+  EXPECT_GT(d, 0.2);
+  EXPECT_LT(d, 0.9);
+  EXPECT_NEAR(noise_rms, d * d * mixed.rms(), 1e-12 * noise_rms);
+  // Same physical quantity as the exact-length band fraction, to within
+  // the grid difference.
+  EXPECT_NEAR(d, dsp::band_energy_fraction(mixed, 0.0, 500.0), 5e-3);
 }
 
 TEST(AccelerometerTest, NoiseGrowsWithLfDominance) {

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dsp/filter.hpp"
 #include "dsp/generate.hpp"
 #include "dsp/spectral.hpp"
 
@@ -49,6 +50,31 @@ TEST(SpeakerTest, DistortionAddsHarmonics) {
   // Odd-order distortion puts energy at 1500 Hz.
   EXPECT_GT(dsp::band_energy(out, 1400.0, 1600.0),
             5.0 * dsp::band_energy(in, 1400.0, 1600.0) + 1e-12);
+}
+
+TEST(SpeakerTest, CachedResponseTableMatchesDirectCurve) {
+  // render_into samples the response into a per-thread cached table; with
+  // distortion off it must equal the gain filter evaluated curve-by-call,
+  // for both speakers and across grid sizes, in either order.
+  Rng rng(2);
+  const Signal long_in = dsp::pink_noise(1.3, 16000.0, 0.1, rng);
+  const Signal short_in = long_in.slice(0, 5001);
+  for (SpeakerConfig cfg : {wearable_speaker(), playback_loudspeaker(),
+                            wearable_speaker()}) {
+    cfg.distortion = 0.0;
+    const Speaker s(cfg);
+    for (const Signal* in : {&long_in, &short_in, &long_in}) {
+      Signal out;
+      std::vector<std::complex<double>> work;
+      s.render_into(*in, out, work);
+      const Signal want = dsp::apply_gain_curve(
+          *in, [&s](double f) { return s.response(f); });
+      ASSERT_EQ(out.size(), want.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], want[i]) << "sample " << i;
+      }
+    }
+  }
 }
 
 TEST(SpeakerTest, RejectsBadConfig) {
