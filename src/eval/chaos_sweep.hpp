@@ -1,10 +1,11 @@
 // Chaos sweep: fleet behavior under injected worker faults.
 //
 // Replays the shared sweep population (eval/sweep_population.hpp) through
-// the sharded serving::Server on a VirtualClock — the fleet sweep's
-// discrete-event machinery — while a seeded faults::ChaosController
-// injects worker failures (stall / crash / slow / lossy) and a
-// serving::Supervisor watches heartbeats and fails dead workers over.
+// the sharded serving::Server on a VirtualClock — the one fleet simulator
+// the load and fleet sweeps also run on (eval/fleet_sim.hpp) — while a
+// seeded faults::ChaosController injects worker failures (stall / crash /
+// slow / lossy) and a serving::Supervisor watches heartbeats and fails
+// dead workers over.
 // Each scenario row reports the full request accounting (every arrival
 // ends in exactly one bucket: rejected, answered, expired, dropped in
 // migration, or reply lost — `accounted` pins that the buckets sum to

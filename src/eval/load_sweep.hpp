@@ -2,16 +2,17 @@
 //
 // Renders one fixed population of legitimate and attack trials, then — for
 // each offered arrival rate — replays the population as a Poisson request
-// stream through a discrete-event simulation of a single-server serving
-// node built from the src/serving/ primitives: a bounded admission queue
-// with reject-on-full backpressure, a per-command deadline budget with
-// cooperative cancellation, and a per-stage circuit breaker that routes
-// commands to the cheap degraded DefenseMode while the primary pipeline is
-// saturated. Service times are modeled (virtual microseconds on a
-// VirtualClock; nothing ever sleeps), while the scores themselves come from
-// the real pipeline, so each sweep point reports both the serving-side
-// rates (accept / reject / deadline-miss / degraded) and the detection
-// quality (EER) of whatever the node actually answered at that load.
+// stream through serving::Server on a VirtualClock (eval/fleet_sim.hpp).
+// The single-node load sweep is the 1-worker, unbatched Server: a bounded
+// queue with reject-on-full backpressure, a per-request deadline budget
+// with cooperative cancellation, and a circuit breaker that routes
+// requests to the cheap degraded DefenseMode while the primary pipeline
+// is saturated. The fleet sweep runs the same replay across a worker grid
+// with micro-batching. Service times are modeled (virtual microseconds;
+// nothing ever sleeps), while the scores come from the real pipeline, so
+// each sweep point reports both the serving-side rates (accept / reject /
+// deadline-miss / degraded) and the detection quality (EER) of whatever
+// the node actually answered at that load.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "attacks/attack.hpp"
 #include "core/pipeline.hpp"
 #include "eval/scenario.hpp"
-#include "serving/admission.hpp"
 #include "serving/circuit_breaker.hpp"
 
 namespace vibguard::eval {
@@ -88,8 +88,7 @@ LoadSweepResult run_load_sweep(const LoadSweepConfig& config,
                                std::uint64_t seed);
 
 /// Fleet sweep: the same replayed population, served by a sharded
-/// serving::Server instead of one logical node, across a workers × load
-/// grid. Requests belong to a pool of long-lived sessions placed on
+/// serving::Server across a workers × load grid. Requests belong to a pool of long-lived sessions placed on
 /// workers by the server's consistent-hash ring; each worker micro-batches
 /// admitted requests into score_batch calls. Because every request scores
 /// from its own rng fork (keyed by trial, not by placement), the scores at
@@ -97,8 +96,8 @@ LoadSweepResult run_load_sweep(const LoadSweepConfig& config,
 /// the fleet determinism contract the tests pin.
 struct FleetSweepConfig {
   /// Population, service model, queue bound, deadline and breaker are all
-  /// inherited from the single-node sweep so rows are comparable; the
-  /// queue bound and breaker apply per shard.
+  /// shared with the single-node sweep so rows are comparable; the queue
+  /// bound and breaker apply per shard.
   LoadSweepConfig base;
 
   /// Worker-count grid (rows = workers × base.offered_rps).
@@ -139,7 +138,9 @@ struct FleetSweepPoint {
   double mean_batch = 0.0;
   double mean_queue_us = 0.0;      ///< over service dequeues (not expired)
   double mean_latency_us = 0.0;    ///< arrival → completion, scored requests
-  double throughput_rps = 0.0;     ///< completions per virtual second
+  /// Completions (requests that got a verdict) per virtual second of the
+  /// run's makespan.
+  double throughput_rps = 0.0;
   double eer_primary = 0.0;
   double eer_degraded = 0.0;
 };

@@ -1,12 +1,11 @@
 // The deterministic trial population shared by the serving sweeps.
 //
-// The load sweep (single node), the fleet sweep (sharded server) and the
-// chaos sweep (sharded server under fault injection) all replay the same
-// rendered population: trials, oracle segmenters, one shared request
-// interleaving, and the rng roots for scoring and arrivals. Extracting
-// the renderer makes the cross-sweep comparison literal — identical rows
-// mean identical requests, and any score difference is the serving
-// topology's fault, not the population's.
+// The load sweep (one worker), the fleet sweep (a worker grid) and the
+// chaos sweep (a fleet under fault injection) all replay the same
+// rendered population through eval/fleet_sim: trials, oracle segmenters,
+// one shared request interleaving, and the rng roots for scoring and
+// arrivals. Identical rows therefore mean identical requests, and any
+// score difference is the serving topology's fault, not the population's.
 #pragma once
 
 #include <cstdint>

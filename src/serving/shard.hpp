@@ -5,10 +5,8 @@
 // here. A shard is:
 //
 //   - a bounded MPMC work queue of WorkItems (the admission queue — full
-//     queue means an immediate, explicit rejection, exactly the PR-5
-//     backpressure contract, with the same queue-time accounting rules:
-//     rejected and expired-in-queue items never pollute the service
-//     means);
+//     queue means an immediate, explicit rejection, and rejected or
+//     expired-in-queue items never pollute the service queue-time means);
 //   - per-tenant admission quotas layered on top: a tenant may only have
 //     so many items queued at once, so one chatty tenant cannot occupy
 //     the whole queue and starve its neighbors;
@@ -28,8 +26,7 @@
 // Shard methods are individually thread-safe (submit from any thread);
 // batch formation is designed for ONE drainer per shard at a time.
 // This layer is core-free: outcomes are reported back through the
-// TrialOutcome enum, never through core types, so vibguard_serving stays
-// below vibguard_core in the link order.
+// TrialOutcome enum, never through core types; only the server scores.
 #pragma once
 
 #include <atomic>
@@ -45,7 +42,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "serving/admission.hpp"
 #include "serving/circuit_breaker.hpp"
 #include "serving/session_slab.hpp"
 
@@ -256,9 +252,32 @@ enum class TrialOutcome {
   kIndeterminate,  ///< quality-gated input (neutral; releases a probe)
 };
 
+/// Aggregate admission/queue-time accounting of one shard. The queue-time
+/// aggregates (total/max/mean) cover only items dequeued for service:
+/// rejected submissions never enter the queue, and items dropped because
+/// their deadline expired while queued are tallied in `expired` — neither
+/// can pollute the mean queue time of the items the shard actually ran.
+struct AdmissionStats {
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t dequeued = 0;  ///< dequeued for service (excludes expired)
+  std::uint64_t expired = 0;   ///< dropped: deadline passed while queued
+  /// Items removed by a peer's work steal (see Shard::steal_batch). Stolen
+  /// items leave this queue unserved, so they never touch the queue-time
+  /// aggregates here — their wait keeps accruing and is accounted where
+  /// they are finally dequeued.
+  std::uint64_t stolen = 0;
+  std::uint64_t total_queue_us = 0;  ///< summed over dequeued items
+  std::uint64_t max_queue_us = 0;
+
+  double mean_queue_us() const {
+    return dequeued > 0 ? static_cast<double>(total_queue_us) /
+                              static_cast<double>(dequeued)
+                        : 0.0;
+  }
+};
+
 struct ShardStats {
-  /// Queue accounting under the PR-5 contract: means cover only items
-  /// dequeued for service; expired-in-queue items count in `expired`.
   AdmissionStats admission;
   std::uint64_t quota_rejected = 0;  ///< tenant-quota rejections
   std::uint64_t closed_rejected = 0; ///< submits refused after close()

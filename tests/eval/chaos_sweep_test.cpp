@@ -270,6 +270,26 @@ TEST(ChaosSweepTest, ScenarioFilterSelectsOneAndRejectsUnknownNames) {
   EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
 }
 
+TEST(ChaosSweepTest, RejectsBadConfig) {
+  ChaosSweepConfig config = small_config();
+  config.workers = 1;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.offered_rps = 0.0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.sessions = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.tenants = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  // A zero poll cadence schedules every poll at the same instant, so the
+  // simulated clock could never advance past it.
+  config = small_config();
+  config.supervisor_poll_us = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+}
+
 TEST(ChaosSweepTest, FixedSeedsReproduceTheExactRun) {
   const ChaosSweepResult& first = sweep();
   const ChaosSweepResult second = run_chaos_sweep(small_config(), kSeed);

@@ -1,5 +1,5 @@
 // Cross-feature integration: the newer subsystems (WAV I/O, recognizer,
-// serialization, session, fusion, motion, ambient noise) working together
+// serialization, session, motion, ambient noise) working together
 // with the core pipeline, parameterized over attack types.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "acoustics/ambient.hpp"
 #include "common/db.hpp"
 #include "common/wav.hpp"
-#include "core/fusion.hpp"
 #include "core/session.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"

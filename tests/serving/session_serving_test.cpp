@@ -1,8 +1,7 @@
-// Serving policy behavior of DefenseSession: retry with deterministic
-// backoff, per-command deadline budgets, circuit-breaker degradation with
-// half-open probing, and admission-controlled batch processing — all driven
-// by a VirtualClock so every transition is reproducible, plus the guarantee
-// that enabling none of it changes a single bit of the default behavior.
+// Retry behavior of DefenseSession: an unscoreable command is re-scored on
+// decorrelated forks of its rng stream until it scores or the retries run
+// out. Overload policy (deadlines, the breaker, reject-on-full) is the
+// serving stack's and is tested against Server and Shard.
 #include "core/session.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
 #include "faults/fault.hpp"
@@ -39,19 +37,6 @@ class FlakySegmenter : public Segmenter {
   const Segmenter& inner_;
   mutable int remaining_;
 };
-
-SessionPolicy retry_policy(std::size_t retries) {
-  SessionPolicy policy;
-  policy.max_retries = retries;
-  return policy;
-}
-
-SessionPolicy breaker_policy(std::size_t threshold) {
-  SessionPolicy policy;
-  policy.max_retries = 0;
-  policy.breaker = serving::BreakerConfig{threshold, 1000, 1};
-  return policy;
-}
 
 struct Fixture {
   eval::ScenarioSimulator sim{eval::ScenarioConfig{}, 9};
@@ -84,7 +69,7 @@ TEST(SessionServingTest, RetryRecoversFromTransientStageError) {
 
 TEST(SessionServingTest, RetriesExhaustOnPersistentFault) {
   Fixture fx;
-  // A persistently corrupted capture (PR 4 fault injector at full severity)
+  // A persistently corrupted capture (fault injector at full severity)
   // fails every attempt: the session burns all retries, then settles on
   // kIndeterminate rather than a hostile verdict.
   Signal corrupted = fx.trial.wearable;
@@ -99,307 +84,6 @@ TEST(SessionServingTest, RetriesExhaustOnPersistentFault) {
   EXPECT_EQ(event.attempts, 4u);  // 1 attempt + 3 retries
   EXPECT_EQ(session.stats().retries, 3u);
   EXPECT_TRUE(std::isnan(event.score));
-}
-
-TEST(SessionServingTest, BackoffWaitsOnTheSessionClockDeterministically) {
-  Fixture fx;
-  const Signal dead =
-      Signal::zeros(fx.trial.wearable.size(), fx.trial.wearable.sample_rate());
-  const SessionPolicy policy{.max_retries = 2,
-                             .backoff = {1000, 8000, 3.0}};
-  std::uint64_t first_total = 0;
-  for (int round = 0; round < 2; ++round) {
-    VirtualClock clock;
-    DefenseSession session(DefenseConfig{}, policy, &clock);
-    Rng rng(54);
-    const auto event =
-        session.process("dead", fx.trial.va, dead, &fx.segmenter, rng);
-    EXPECT_EQ(event.verdict, Verdict::kIndeterminate);
-    EXPECT_EQ(event.attempts, 3u);
-    EXPECT_GE(event.backoff_us, 2u * policy.backoff.base_us);
-    // All waiting happened on the injected clock, nowhere else.
-    EXPECT_EQ(clock.now_us(), event.backoff_us);
-    if (round == 0) {
-      first_total = event.backoff_us;
-    } else {
-      EXPECT_EQ(event.backoff_us, first_total);  // bit-reproducible schedule
-    }
-  }
-}
-
-TEST(SessionServingTest, NoClockMeansNoBackoffWait) {
-  Fixture fx;
-  const Signal dead =
-      Signal::zeros(fx.trial.wearable.size(), fx.trial.wearable.sample_rate());
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 1, .backoff = {1000, 8000, 3.0}});
-  Rng rng(55);
-  const auto event =
-      session.process("dead", fx.trial.va, dead, &fx.segmenter, rng);
-  EXPECT_EQ(event.attempts, 2u);
-  EXPECT_EQ(event.backoff_us, 0u);
-}
-
-TEST(SessionServingTest, ExpiredDeadlineEndsCommandWithoutRetries) {
-  Fixture fx;
-  VirtualClock clock(100);
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 3, .deadline_us = 0}, &clock);
-  Rng rng(56);
-  const auto event = session.process("no budget", fx.trial.va,
-                                     fx.trial.wearable, &fx.segmenter, rng);
-  EXPECT_EQ(event.verdict, Verdict::kIndeterminate);
-  EXPECT_EQ(event.note, "deadline_exceeded");
-  EXPECT_EQ(event.attempts, 1u);  // the budget covers the whole command
-  EXPECT_EQ(session.stats().deadline_exceeded, 1u);
-  EXPECT_EQ(session.stats().retries, 0u);
-}
-
-TEST(SessionServingTest, GenerousDeadlineScoresBitIdenticalToDefault) {
-  Fixture fx;
-  DefenseSession plain;
-  Rng r1(57);
-  const auto base = plain.process("cmd", fx.trial.va, fx.trial.wearable,
-                                  &fx.segmenter, r1);
-
-  VirtualClock clock;
-  DefenseSession bounded(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 1, .deadline_us = 1'000'000'000}, &clock);
-  Rng r2(57);
-  const auto event = bounded.process("cmd", fx.trial.va, fx.trial.wearable,
-                                     &fx.segmenter, r2);
-  EXPECT_EQ(event.verdict, base.verdict);
-  EXPECT_EQ(event.score, base.score);  // exact: same bits
-  EXPECT_EQ(bounded.stats().deadline_exceeded, 0u);
-}
-
-TEST(SessionServingTest, BreakerTripsAndRoutesToDegradedMode) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 0,
-                    .breaker = serving::BreakerConfig{2, 1000, 1}},
-      &clock);
-  ASSERT_NE(session.breaker(), nullptr);
-  ASSERT_NE(session.degraded_system(), nullptr);
-  EXPECT_EQ(session.degraded_system()->config().mode,
-            DefenseMode::kAudioBaseline);
-
-  // kFull without a segmenter fails hard at the precheck: two consecutive
-  // hard failures trip the breaker.
-  Rng r1(58), r2(59), r3(60);
-  const auto e1 = session.process("fail 1", fx.trial.va, fx.trial.wearable,
-                                  nullptr, r1);
-  EXPECT_EQ(e1.verdict, Verdict::kIndeterminate);
-  EXPECT_FALSE(e1.degraded);
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kClosed);
-  const auto e2 = session.process("fail 2", fx.trial.va, fx.trial.wearable,
-                                  nullptr, r2);
-  EXPECT_FALSE(e2.degraded);
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kOpen);
-  EXPECT_EQ(session.breaker()->tripped_stage(), "precheck");
-  EXPECT_EQ(session.breaker()->trips(), 1u);
-
-  // While open, commands run in the degraded audio-baseline mode, which
-  // needs no segmenter — the session keeps answering.
-  const auto e3 = session.process("degraded", fx.trial.va, fx.trial.wearable,
-                                  nullptr, r3);
-  EXPECT_TRUE(e3.degraded);
-  EXPECT_NE(e3.verdict, Verdict::kIndeterminate);
-  EXPECT_FALSE(std::isnan(e3.score));
-  EXPECT_NE(e3.note.find("degraded: breaker open (precheck)"),
-            std::string::npos)
-      << e3.note;
-  EXPECT_EQ(session.stats().degraded, 1u);
-}
-
-TEST(SessionServingTest, HalfOpenProbeSuccessClosesBreaker) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 0,
-                    .breaker = serving::BreakerConfig{2, 1000, 1}},
-      &clock);
-  Rng r1(61), r2(62), r3(63);
-  session.process("fail 1", fx.trial.va, fx.trial.wearable, nullptr, r1);
-  session.process("fail 2", fx.trial.va, fx.trial.wearable, nullptr, r2);
-  ASSERT_EQ(session.breaker()->state(), serving::BreakerState::kOpen);
-
-  clock.advance(1000);  // cooldown elapses
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kHalfOpen);
-  // The probe runs on the primary pipeline — this time with a working
-  // segmenter — succeeds, and the breaker closes.
-  const auto probe = session.process("probe", fx.trial.va, fx.trial.wearable,
-                                     &fx.segmenter, r3);
-  EXPECT_FALSE(probe.degraded);
-  EXPECT_EQ(probe.verdict, Verdict::kAccepted);
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kClosed);
-}
-
-TEST(SessionServingTest, HalfOpenProbeFailureReopensBreaker) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 0,
-                    .breaker = serving::BreakerConfig{2, 1000, 1}},
-      &clock);
-  Rng r1(64), r2(65), r3(66), r4(67);
-  session.process("fail 1", fx.trial.va, fx.trial.wearable, nullptr, r1);
-  session.process("fail 2", fx.trial.va, fx.trial.wearable, nullptr, r2);
-  ASSERT_EQ(session.breaker()->state(), serving::BreakerState::kOpen);
-
-  clock.advance(1000);
-  const auto probe = session.process("probe", fx.trial.va, fx.trial.wearable,
-                                     nullptr, r3);
-  EXPECT_FALSE(probe.degraded);  // the probe itself runs on the primary
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kOpen);
-
-  // Back under cooldown: the next command is degraded again.
-  const auto e4 = session.process("still open", fx.trial.va, fx.trial.wearable,
-                                  nullptr, r4);
-  EXPECT_TRUE(e4.degraded);
-}
-
-TEST(SessionServingTest, ResetRestoresBreakerToClosed) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session(
-      DefenseConfig{},
-      SessionPolicy{.max_retries = 0,
-                    .breaker = serving::BreakerConfig{1, 1000, 1}},
-      &clock);
-  Rng r1(68);
-  session.process("fail", fx.trial.va, fx.trial.wearable, nullptr, r1);
-  ASSERT_EQ(session.breaker()->state(), serving::BreakerState::kOpen);
-  session.reset();
-  EXPECT_EQ(session.breaker()->state(), serving::BreakerState::kClosed);
-  EXPECT_EQ(session.breaker()->trips(), 0u);
-}
-
-TEST(SessionServingTest, ProcessAdmittedRejectsBeyondQueueCapacity) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session;
-  serving::AdmissionController admission({1}, clock);
-
-  std::vector<SessionRequest> requests;
-  requests.push_back(SessionRequest{"a", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(70)});
-  requests.push_back(SessionRequest{"b", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(71)});
-  requests.push_back(SessionRequest{"c", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(72)});
-  const auto events = session.process_admitted(requests, admission);
-
-  // The burst arrives at once: one fits the queue, two are rejected with
-  // explicit backpressure; rejections are logged at submission time, the
-  // drained command after them.
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].label, "b");
-  EXPECT_EQ(events[0].verdict, Verdict::kRejectedOverload);
-  EXPECT_EQ(events[0].note, "queue_full");
-  EXPECT_TRUE(std::isnan(events[0].score));
-  EXPECT_EQ(events[1].label, "c");
-  EXPECT_EQ(events[1].verdict, Verdict::kRejectedOverload);
-  EXPECT_EQ(events[2].label, "a");
-  EXPECT_EQ(events[2].verdict, Verdict::kAccepted);
-
-  EXPECT_EQ(session.stats().rejected_overload, 2u);
-  EXPECT_EQ(session.stats().processed, 3u);
-  const auto& q = session.pipeline_stats().queue;
-  EXPECT_EQ(q.admitted, 1u);
-  EXPECT_EQ(q.rejected, 2u);
-  EXPECT_EQ(q.dequeued, 1u);
-}
-
-TEST(SessionServingTest, ProcessAdmittedAccountsQueueTime) {
-  Fixture fx;
-  VirtualClock clock;
-  DefenseSession session;
-  serving::AdmissionController admission({4}, clock);
-  std::vector<SessionRequest> requests;
-  requests.push_back(SessionRequest{"a", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(73)});
-  // On a virtual clock that nobody advances the burst drains instantly,
-  // so queue times are exactly zero — deterministic accounting.
-  const auto events = session.process_admitted(requests, admission);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].queue_us, 0u);
-  EXPECT_EQ(session.pipeline_stats().queue.total_queue_us, 0u);
-  // The queue line shows up in the printed summary once admission ran.
-  EXPECT_NE(session.pipeline_stats().summary().find("queue:"),
-            std::string::npos);
-}
-
-TEST(SessionServingTest, RejectedOverloadVerdictHasAName) {
-  EXPECT_STREQ(verdict_name(Verdict::kRejectedOverload), "rejected_overload");
-}
-
-TEST(SessionServingTest, DefaultPolicyWithClockIsBitIdenticalToNoClock) {
-  Fixture fx;
-  DefenseSession plain;
-  VirtualClock clock;
-  DefenseSession clocked(DefenseConfig{}, SessionPolicy{}, &clock);
-  Rng r1(74), r2(74);
-  const auto a = plain.process("cmd", fx.trial.va, fx.trial.wearable,
-                               &fx.segmenter, r1);
-  const auto b = clocked.process("cmd", fx.trial.va, fx.trial.wearable,
-                                 &fx.segmenter, r2);
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.score, b.score);  // exact: the clock is never read
-  EXPECT_EQ(clock.now_us(), 0u);
-}
-
-TEST(SessionServingTest, BatchWithServingPolicyMatchesSequential) {
-  Fixture fx;
-  const Signal dead =
-      Signal::zeros(fx.trial.wearable.size(), fx.trial.wearable.sample_rate());
-  const SessionPolicy policy{.max_retries = 1,
-                             .backoff = {500, 4000, 2.0},
-                             .deadline_us = 1'000'000'000,
-                             .breaker = serving::BreakerConfig{3, 1000, 1}};
-
-  std::vector<SessionRequest> requests;
-  requests.push_back(SessionRequest{"good", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(75)});
-  requests.push_back(
-      SessionRequest{"dead", &fx.trial.va, &dead, &fx.segmenter, Rng(76)});
-  requests.push_back(SessionRequest{"again", &fx.trial.va, &fx.trial.wearable,
-                                    &fx.segmenter, Rng(77)});
-
-  VirtualClock batch_clock;
-  DefenseSession batched(DefenseConfig{}, policy, &batch_clock);
-  const auto events = batched.process_batch(requests);
-
-  VirtualClock seq_clock;
-  DefenseSession sequential(DefenseConfig{}, policy, &seq_clock);
-  Rng r1(75), r2(76), r3(77);
-  const auto e1 = sequential.process("good", fx.trial.va, fx.trial.wearable,
-                                     &fx.segmenter, r1);
-  const auto e2 =
-      sequential.process("dead", fx.trial.va, dead, &fx.segmenter, r2);
-  const auto e3 = sequential.process("again", fx.trial.va, fx.trial.wearable,
-                                     &fx.segmenter, r3);
-
-  ASSERT_EQ(events.size(), 3u);
-  const std::vector<SessionEvent> expected = {e1, e2, e3};
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(events[i].verdict, expected[i].verdict) << "event " << i;
-    EXPECT_EQ(events[i].attempts, expected[i].attempts) << "event " << i;
-    EXPECT_EQ(events[i].backoff_us, expected[i].backoff_us) << "event " << i;
-    if (std::isnan(expected[i].score)) {
-      EXPECT_TRUE(std::isnan(events[i].score)) << "event " << i;
-    } else {
-      EXPECT_EQ(events[i].score, expected[i].score) << "event " << i;
-    }
-  }
-  EXPECT_EQ(batch_clock.now_us(), seq_clock.now_us());
 }
 
 }  // namespace
