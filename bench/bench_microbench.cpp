@@ -9,10 +9,12 @@
 #include "core/segmentation.hpp"
 #include "core/streaming.hpp"
 #include "device/sync.hpp"
+#include "device/wearable.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/generate.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/resample.hpp"
+#include "dsp/scratch.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/stft.hpp"
 #include "eval/experiment.hpp"
@@ -164,6 +166,39 @@ void BM_CrossDomainCapture(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrossDomainCapture);
+
+// The two halves of vib_capture on a 1.2 s (19200-sample) recording, each
+// on warm buffers: the wearable speaker's render (gain filter + soft clip)
+// and the accelerometer's capture of the rendered replay.
+void BM_SpeakerRender(benchmark::State& state) {
+  Rng rng(6);
+  const device::Wearable wearable;
+  const Signal rec = dsp::white_noise(1.2, 16000.0, 0.05, rng);
+  Signal out;
+  std::vector<dsp::Complex> work;
+  for (auto _ : state) {
+    wearable.speaker().render_into(rec, out, work);
+    benchmark::DoNotOptimize(out.samples().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SpeakerRender);
+
+void BM_AccelerometerCapture(benchmark::State& state) {
+  Rng rng(6);
+  const device::Wearable wearable;
+  const Signal rendered =
+      wearable.speaker().render(dsp::white_noise(1.2, 16000.0, 0.05, rng));
+  Signal out;
+  dsp::Scratch scratch;
+  for (auto _ : state) {
+    Rng r(7);
+    wearable.accelerometer().capture_into(rendered, r, out, scratch);
+    benchmark::DoNotOptimize(out.samples().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AccelerometerCapture);
 
 void BM_FullPipelineScore(benchmark::State& state) {
   eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 8);

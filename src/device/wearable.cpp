@@ -62,10 +62,10 @@ void Wearable::cross_domain_capture_into(const Signal& recording,
                                          Signal& out,
                                          dsp::Scratch& scratch) const {
   speaker_.render_into(recording, scratch.rendered, scratch.cwork);
-  const Signal motion = sensors::body_motion(
-      activity, recording.duration() + 0.1,
-      accel_.config().sample_rate, rng);
-  accel_.capture_with_motion_into(scratch.rendered, motion, rng, out,
+  sensors::body_motion_into(activity, recording.duration() + 0.1,
+                            accel_.config().sample_rate, rng,
+                            scratch.motion);
+  accel_.capture_with_motion_into(scratch.rendered, scratch.motion, rng, out,
                                   scratch);
 }
 

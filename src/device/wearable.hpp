@@ -56,9 +56,9 @@ class Wearable {
   Signal cross_domain_capture(const Signal& recording,
                               sensors::Activity activity, Rng& rng) const;
 
-  /// Activity overload writing into `out`. The generated motion signal
-  /// itself still allocates (see sensors::body_motion); everything else
-  /// reuses `scratch`.
+  /// Activity overload writing into `out`; the motion signal and every
+  /// other temporary reuse `scratch` (same rng draw order as the
+  /// allocating overload).
   void cross_domain_capture_into(const Signal& recording,
                                  sensors::Activity activity, Rng& rng,
                                  Signal& out, dsp::Scratch& scratch) const;

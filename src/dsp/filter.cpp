@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
+#include "dsp/resample.hpp"
 #include "dsp/simd.hpp"
 
 namespace vibguard::dsp {
@@ -183,6 +184,66 @@ void apply_gains_to_spectrum(std::vector<Complex>& spectrum,
                    "gain table and spectrum must match the filter grid");
   for (std::size_t k = 0; k < spectrum.size(); ++k) spectrum[k] *= gains[k];
   invert_spectrum(spectrum, n, sample_rate, out);
+}
+
+namespace {
+
+// The fold factor F of apply_gains_and_decimate: the largest power of two
+// dividing an integer rate ratio, capped at m / 2; 1 for any other ratio.
+std::size_t sample_fold(double ratio, std::size_t m) {
+  if (!(ratio < 0x1p52 && ratio == std::floor(ratio))) return 1;
+  const auto r = static_cast<std::uint64_t>(ratio);
+  const auto f = static_cast<std::size_t>(r & (~r + 1));  // lowest set bit
+  return std::max<std::size_t>(1, std::min(f, m / 2));
+}
+
+}  // namespace
+
+void apply_gains_and_decimate(std::vector<Complex>& spectrum,
+                              std::span<const double> gains, std::size_t n,
+                              double sample_rate, double target_rate,
+                              Signal& out, Signal& work) {
+  VIBGUARD_REQUIRE(target_rate > 0.0 && target_rate <= sample_rate,
+                   "target rate must be in (0, sample rate]");
+  const std::size_t m = gain_fft_size(n);
+  const double ratio = sample_rate / target_rate;
+  const std::size_t fold = sample_fold(ratio, m);
+  if (fold == 1) {
+    apply_gains_to_spectrum(spectrum, gains, n, sample_rate, work);
+    decimate_alias_into(work, target_rate, out);
+    return;
+  }
+  VIBGUARD_REQUIRE(spectrum.size() == m / 2 + 1 &&
+                       gains.size() == spectrum.size(),
+                   "gain table and spectrum must match the filter grid");
+
+  // Fold in place: Z[k] (k = 0..mf/2) reads Y[k] itself, bins k + r*mf
+  // above mf/2, and mirrored bins (F - r)*mf - k >= mf/2, so no bin is
+  // overwritten before its last read (Z[mf/2] reads Y[mf/2] twice, both
+  // before its own write).
+  const std::size_t mf = m / fold;
+  const std::size_t half = m / 2;
+  const double inv_fold = 1.0 / static_cast<double>(fold);
+  for (std::size_t k = 0; k <= mf / 2; ++k) {
+    Complex acc(0.0, 0.0);
+    for (std::size_t j = k; j < m; j += mf) {
+      acc += j <= half ? spectrum[j] * gains[j]
+                       : std::conj(spectrum[m - j] * gains[m - j]);
+    }
+    spectrum[k] = acc * inv_fold;
+  }
+
+  const auto out_len = static_cast<std::size_t>(
+      std::floor(static_cast<double>(n) / ratio));
+  out.reset(target_rate);
+  if (out_len == 0) return;
+  const std::size_t step = static_cast<std::size_t>(ratio) / fold;
+  work.reset(sample_rate / static_cast<double>(fold));
+  work.resize((out_len - 1) * step + 1);
+  get_plan(mf).irfft(std::span<const Complex>(spectrum.data(), mf / 2 + 1),
+                     work.samples());
+  out.resize(out_len);
+  for (std::size_t i = 0; i < out_len; ++i) out[i] = work[i * step];
 }
 
 Signal apply_gain_curve(const Signal& in,

@@ -118,6 +118,22 @@ void apply_gains_to_spectrum(std::vector<std::complex<double>>& spectrum,
                              std::span<const double> gains, std::size_t n,
                              double sample_rate, Signal& out);
 
+/// apply_gains_to_spectrum followed by decimate_alias_into(.., target_rate,
+/// out): the gain filter's output point-sampled at `target_rate` (<=
+/// sample_rate) with no anti-alias filter — floor(n / R) samples taken at
+/// positions i * R, R = sample_rate / target_rate. When R is an integer
+/// with a power-of-two factor F > 1 (at most m / 2), only every F-th
+/// filtered sample can be read, so the gained spectrum is folded onto
+/// m / F bins (Z[k] = sum_r Y[k + r*m/F] / F, Y Hermitian-extended) and
+/// one m/F-point inverse transform yields exactly those samples: the
+/// result matches the two-step path to rounding. Otherwise (F = 1) this is
+/// the two-step path, bit for bit. Consumes `spectrum`; `work` is staging
+/// space (its contents are unspecified afterwards).
+void apply_gains_and_decimate(std::vector<std::complex<double>>& spectrum,
+                              std::span<const double> gains, std::size_t n,
+                              double sample_rate, double target_rate,
+                              Signal& out, Signal& work);
+
 /// Identifies a gain curve by value: a family name plus the parameters
 /// that fully define the curve within that family. Two equal keys must
 /// describe the same |H(f)|. The cache stores the view, so `family` must

@@ -35,12 +35,13 @@ struct Scratch {
   std::vector<std::complex<double>> cwork;
   /// Cross-correlation buffers for delay estimation.
   CorrelationScratch corr;
-  /// Intermediate signals: a speaker-rendered waveform and its coupled
-  /// (pre-decimation) vibration, plus the feature extractor's high-pass
-  /// filtered copy. Each is private to one call; callers must not rely on
-  /// their contents across entry points.
+  /// Intermediate signals: a speaker-rendered waveform, the coupling
+  /// filter's staging buffer, the wearer's body-motion interference, and
+  /// the feature extractor's high-pass filtered copy. Each is private to
+  /// one call; callers must not rely on their contents across entry points.
   Signal rendered;
   Signal coupled;
+  Signal motion;
   Signal filtered;
 };
 

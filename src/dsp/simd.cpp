@@ -1,6 +1,9 @@
 #include "dsp/simd.hpp"
 
+#include <bit>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -8,9 +11,10 @@
 namespace vibguard::dsp::simd {
 
 // ---------------------------------------------------------------------------
-// Scalar kernels. These are the pre-SIMD inner loops moved verbatim: the
-// expressions and accumulation order must not change, because
-// VIBGUARD_SIMD=scalar is the repo's bit-identical reference path.
+// Scalar kernels. These are the pre-SIMD inner loops moved verbatim (the
+// soft clip excepted, see simd.hpp): the expressions and accumulation order
+// must not change, because VIBGUARD_SIMD=scalar is the repo's bit-identical
+// reference path.
 // ---------------------------------------------------------------------------
 namespace scalar {
 
@@ -157,6 +161,49 @@ PearsonMoments pearson_moments(const double* a, const double* b,
   return m;
 }
 
+namespace {
+
+// detail::tanh_approx, one lane. The AVX2 kernel mirrors every operation
+// below in the same order; the sign and the power of two are bit
+// manipulations there, so they are spelled as bit manipulations here too.
+double tanh_approx(double u) {
+  namespace c = detail::tanh_approx;
+  constexpr std::uint64_t kSign = 0x8000000000000000ULL;
+  constexpr double kMagic = 4503599627370496.0;  // 2^52
+  const std::uint64_t ubits = std::bit_cast<std::uint64_t>(u);
+  const double abs_u = std::bit_cast<double>(ubits & ~kSign);
+  const double a = c::kClamp < abs_u ? c::kClamp : abs_u;  // NaN stays NaN
+  const double y = a + a;
+  const double k = std::floor(y * c::kInvLn2 + 0.5);
+  const double r = (y - k * c::kLn2Hi) - k * c::kLn2Lo;
+  const double* cq = c::kExpm1Q;
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double q01 = cq[0] + cq[1] * r, q23 = cq[2] + cq[3] * r;
+  const double q45 = cq[4] + cq[5] * r, q67 = cq[6] + cq[7] * r;
+  const double q89 = cq[8] + cq[9] * r, qab = cq[10] + cq[11] * r;
+  const double q03 = q01 + q23 * r2, q47 = q45 + q67 * r2;
+  const double q8b = q89 + qab * r2;
+  const double q = (q03 + q47 * r4) + q8b * (r4 * r4);
+  const double p = r + r2 * q;
+  const double two = std::bit_cast<double>(
+      (std::bit_cast<std::uint64_t>(k + kMagic) -
+       std::bit_cast<std::uint64_t>(kMagic) + 1023) << 52);
+  const double e = two * p + (two - 1.0);
+  const double t = e / (e + 2.0);
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(t) |
+                               (ubits & kSign));
+}
+
+}  // namespace
+
+void soft_clip(double* x, std::size_t n, double drive, double peak,
+               double scale) {
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = tanh_approx(drive * x[i] / peak) * scale;
+  }
+}
+
 const Ops kOps = {
     .level = Level::kScalar,
     .multiply = &multiply,
@@ -171,6 +218,7 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,
     .pearson_moments = &pearson_moments,
+    .soft_clip = &soft_clip,
 };
 
 }  // namespace scalar

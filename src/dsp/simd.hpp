@@ -2,14 +2,15 @@
 //
 // Every vectorizable inner loop in the DSP layer (FFT butterflies, the fused
 // STFT frame kernel, mel filterbank/DCT dot products, the resampler's linear
-// interpolation and FIR convolution, and the fused 2-D Pearson moments) is
-// routed through one of the kernel entry points below. Each entry point
-// dispatches through a per-process table of function pointers selected once
-// at first use:
+// interpolation and FIR convolution, the fused 2-D Pearson moments, and the
+// speaker's tanh soft clip) is routed through one of the kernel entry points
+// below. Each entry point dispatches through a per-process table of function
+// pointers selected once at first use:
 //
-//   - scalar   : always compiled, byte-for-byte the pre-SIMD loops. Running
-//                with VIBGUARD_SIMD=scalar reproduces the pre-dispatch
-//                pipeline scores bit-identically.
+//   - scalar   : always compiled; the reference every other level is held
+//                to (scalar ≡ auto). Apart from soft_clip, which replaced a
+//                std::tanh loop with an approximation every level shares,
+//                these are the pre-SIMD loops verbatim.
 //   - avx2     : x86-64 with AVX2+FMA, compiled in its own translation unit
 //                (simd_avx2.cpp) with -mavx2 -mfma so the rest of the binary
 //                stays baseline-ISA; selected only when cpuid reports both
@@ -24,8 +25,7 @@
 // Numerical contract: kernels that map each output to an independent
 // expression (multiply, butterfly_stage, fft_stage2_4, fft_stages,
 // complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
-// linear_interp) are bit-identical
-// across all levels —
+// linear_interp, soft_clip) are bit-identical across all levels —
 // the vector lanes perform the same operations in the same order as the
 // scalar code, and the SIMD translation units disable FP contraction. The
 // reduction kernels (dot, dot_reverse, pearson_moments) reassociate their
@@ -134,11 +134,40 @@ struct Ops {
   /// level-dependent rounding.
   PearsonMoments (*pearson_moments)(const double* a, const double* b,
                                     std::size_t n);
+
+  /// Soft clip in place: x[i] = tanh(drive * x[i] / peak) * scale, where
+  /// the caller passes scale = peak / std::tanh(drive). tanh is the shared
+  /// approximation spelled out in detail::tanh_approx (relative error
+  /// below 1e-15 against std::tanh; ±inf -> ±1, NaN -> NaN).
+  void (*soft_clip)(double* x, std::size_t n, double drive, double peak,
+                    double scale);
 };
 
 namespace detail {
 extern std::atomic<const Ops*> g_ops;
 const Ops* resolve();
+
+// The soft clip's tanh, shared by every level so they stay bit-identical.
+// For a = min(|u|, kClamp) and y = 2a:
+//   k = floor(y / ln2 + 0.5),  r = (y - k*ln2_hi) - k*ln2_lo,
+//   p = expm1(r) = r + r*r*q(r)       (q: Taylor to r^13, Estrin order),
+//   e = expm1(y) = 2^k*p + (2^k - 1),  tanh(a) = e / (e + 2),
+// and the sign of u is copied back. No FMA anywhere: each level performs
+// this exact operation sequence. ln2_hi has 21 trailing zero bits, so
+// k*ln2_hi is exact; |r| <= ln2/2 bounds the truncated series term at
+// r^14/14! < 5e-18. tanh(kClamp) rounds to 1.
+namespace tanh_approx {
+inline constexpr double kClamp = 20.0;
+inline constexpr double kInvLn2 = 1.44269504088896338700e+00;
+inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
+inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
+/// q's coefficients 1/(j+2)! for j = 0..11, highest order last.
+inline constexpr double kExpm1Q[12] = {
+    1.0 / 2.0,        1.0 / 6.0,         1.0 / 24.0,
+    1.0 / 120.0,      1.0 / 720.0,       1.0 / 5040.0,
+    1.0 / 40320.0,    1.0 / 362880.0,    1.0 / 3628800.0,
+    1.0 / 39916800.0, 1.0 / 479001600.0, 1.0 / 6227020800.0};
+}  // namespace tanh_approx
 }  // namespace detail
 
 /// The active dispatch table. Resolved once from VIBGUARD_SIMD + CPU
@@ -212,6 +241,8 @@ void linear_interp(const double* in, std::size_t in_size, double ratio,
                    double* out, std::size_t n);
 PearsonMoments pearson_moments(const double* a, const double* b,
                                std::size_t n);
+void soft_clip(double* x, std::size_t n, double drive, double peak,
+               double scale);
 }  // namespace scalar
 
 #if VIBGUARD_SIMD_AVX2

@@ -5,7 +5,7 @@
 //
 // Lane discipline: the elementwise kernels (multiply, butterfly_stage,
 // fft_stage2_4, fft_stages, complex_multiply_to, rfft_split_power,
-// rfft_split, irfft_merge, linear_interp) evaluate per-output
+// rfft_split, irfft_merge, linear_interp, soft_clip) evaluate per-output
 // expressions with the same operations in the same order as the scalar
 // kernels — multiplication/addition operand swaps only where IEEE-754
 // results are bitwise unchanged — so they are bit-identical to scalar. The
@@ -428,6 +428,59 @@ PearsonMoments pearson_moments(const double* a, const double* b,
   return m;
 }
 
+// detail::tanh_approx on four lanes: the scalar kernel's operations in the
+// scalar kernel's order (min_pd(clamp, a) keeps a NaN lane, as the scalar
+// ternary does).
+inline __m256d tanh_approx(__m256d u) {
+  namespace c = detail::tanh_approx;
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d magic = _mm256_set1_pd(4503599627370496.0);  // 2^52
+  const __m256d abs_u = _mm256_andnot_pd(sign_bit, u);
+  const __m256d a = _mm256_min_pd(_mm256_set1_pd(c::kClamp), abs_u);
+  const __m256d y = _mm256_add_pd(a, a);
+  const __m256d k = _mm256_floor_pd(_mm256_add_pd(
+      _mm256_mul_pd(y, _mm256_set1_pd(c::kInvLn2)), _mm256_set1_pd(0.5)));
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(y, _mm256_mul_pd(k, _mm256_set1_pd(c::kLn2Hi))),
+      _mm256_mul_pd(k, _mm256_set1_pd(c::kLn2Lo)));
+  const auto lin = [r](int j) {  // cq[j] + cq[j + 1] * r
+    return _mm256_add_pd(_mm256_set1_pd(c::kExpm1Q[j]),
+                         _mm256_mul_pd(_mm256_set1_pd(c::kExpm1Q[j + 1]), r));
+  };
+  const auto mad = [](__m256d s, __m256d t, __m256d x) {  // s + t * x
+    return _mm256_add_pd(s, _mm256_mul_pd(t, x));
+  };
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(r2, r2);
+  const __m256d q03 = mad(lin(0), lin(2), r2);
+  const __m256d q47 = mad(lin(4), lin(6), r2);
+  const __m256d q8b = mad(lin(8), lin(10), r2);
+  const __m256d q = mad(mad(q03, q47, r4), q8b, _mm256_mul_pd(r4, r4));
+  const __m256d p = mad(r, r2, q);
+  const __m256i kbits = _mm256_sub_epi64(
+      _mm256_castpd_si256(_mm256_add_pd(k, magic)), _mm256_castpd_si256(magic));
+  const __m256d two = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi64(kbits, _mm256_set1_epi64x(1023)), 52));
+  const __m256d e = _mm256_add_pd(_mm256_mul_pd(two, p),
+                                  _mm256_sub_pd(two, _mm256_set1_pd(1.0)));
+  const __m256d t = _mm256_div_pd(e, _mm256_add_pd(e, _mm256_set1_pd(2.0)));
+  return _mm256_or_pd(t, _mm256_and_pd(u, sign_bit));
+}
+
+void soft_clip(double* x, std::size_t n, double drive, double peak,
+               double scale) {
+  const __m256d vdrive = _mm256_set1_pd(drive);
+  const __m256d vpeak = _mm256_set1_pd(peak);
+  const __m256d vscale = _mm256_set1_pd(scale);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d u =
+        _mm256_div_pd(_mm256_mul_pd(vdrive, _mm256_loadu_pd(x + i)), vpeak);
+    _mm256_storeu_pd(x + i, _mm256_mul_pd(tanh_approx(u), vscale));
+  }
+  if (i < n) scalar::soft_clip(x + i, n - i, drive, peak, scale);
+}
+
 }  // namespace
 
 const Ops kOps = {
@@ -444,6 +497,7 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,
     .pearson_moments = &pearson_moments,
+    .soft_clip = &soft_clip,
 };
 
 }  // namespace vibguard::dsp::simd::avx2

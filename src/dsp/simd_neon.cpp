@@ -108,6 +108,7 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &scalar::linear_interp,
     .pearson_moments = &pearson_moments,
+    .soft_clip = &scalar::soft_clip,
 };
 
 }  // namespace vibguard::dsp::simd::neon

@@ -1,5 +1,6 @@
 #include "sensors/accelerometer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -20,12 +21,26 @@ namespace {
 double lf_fraction(std::span<const std::complex<double>> spectrum,
                    std::size_t n, double sample_rate, double cutoff_hz) {
   const std::size_t m = dsp::gain_fft_size(n);
+  // Bin frequencies rise with k, so the bins at or below the cutoff are a
+  // prefix 0..band_end-1. Start from the estimate and settle it with the
+  // exact predicate.
+  const auto at_or_below = [&](std::size_t k) {
+    return dsp::bin_frequency(k, m, sample_rate) <= cutoff_hz;
+  };
+  const double guess = std::floor(cutoff_hz * static_cast<double>(m) /
+                                  sample_rate) + 1.0;
+  std::size_t band_end =
+      !(guess > 0.0) ? 0
+                     : static_cast<std::size_t>(std::min(
+                           guess, static_cast<double>(spectrum.size())));
+  while (band_end < spectrum.size() && at_or_below(band_end)) ++band_end;
+  while (band_end > 0 && !at_or_below(band_end - 1)) --band_end;
   double band = 0.0, total = 0.0;
   for (std::size_t k = 0; k < spectrum.size(); ++k) {
     const double re = spectrum[k].real(), im = spectrum[k].imag();
     const double e = re * re + im * im;
     total += e;
-    if (dsp::bin_frequency(k, m, sample_rate) <= cutoff_hz) band += e;
+    if (k < band_end) band += e;
   }
   return total > 0.0 ? band / total : 0.0;
 }
@@ -130,16 +145,20 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
       lf_fraction(scratch.cwork, audio.size(), audio.sample_rate(),
                   config_.lf_dominance_cutoff_hz);
   const double excitation_rms = audio.rms();
-  dsp::apply_gains_to_spectrum(scratch.cwork, coupling_table(audio),
-                               audio.size(), audio.sample_rate(),
-                               scratch.coupled);
 
   // Effect 2: naive 200 Hz sampling — deliberately NO anti-alias filter
-  // (unless the ablation switch is set).
+  // (unless the ablation switch is set). Only the sampled points of the
+  // coupled excitation are ever read, so the coupling filter inverts just
+  // those (see dsp::apply_gains_and_decimate).
   if (config_.anti_alias) {
+    dsp::apply_gains_to_spectrum(scratch.cwork, coupling_table(audio),
+                                 audio.size(), audio.sample_rate(),
+                                 scratch.coupled);
     out = dsp::resample(scratch.coupled, config_.sample_rate);
   } else {
-    dsp::decimate_alias_into(scratch.coupled, config_.sample_rate, out);
+    dsp::apply_gains_and_decimate(scratch.cwork, coupling_table(audio),
+                                  audio.size(), audio.sample_rate(),
+                                  config_.sample_rate, out, scratch.coupled);
   }
 
   // Effect 3: low-frequency sensitivity artifact (applied in place).

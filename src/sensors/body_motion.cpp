@@ -12,11 +12,11 @@ namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 /// Quasi-periodic oscillation with per-cycle frequency/amplitude jitter
-/// plus integer harmonics — the signature of rhythmic limb movement.
-Signal rhythmic(double f_base, double amp, int harmonics, double duration_s,
-                double fs, Rng& rng) {
-  const auto n = static_cast<std::size_t>(std::round(duration_s * fs));
-  std::vector<double> out(n, 0.0);
+/// plus integer harmonics — the signature of rhythmic limb movement —
+/// written over every sample of `out`.
+void rhythmic(double f_base, double amp, int harmonics, double fs, Rng& rng,
+              Signal& out) {
+  const std::size_t n = out.size();
   double phase = rng.uniform(0.0, kTwoPi);
   double f = f_base * rng.uniform(0.9, 1.1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -32,7 +32,6 @@ Signal rhythmic(double f_base, double amp, int harmonics, double duration_s,
     }
     out[i] = v;
   }
-  return Signal(std::move(out), fs);
 }
 
 }  // namespace
@@ -54,15 +53,24 @@ std::vector<Activity> all_activities() {
 
 Signal body_motion(Activity activity, double duration_s, double sample_rate,
                    Rng& rng, double scale) {
+  Signal out;
+  body_motion_into(activity, duration_s, sample_rate, rng, out, scale);
+  return out;
+}
+
+void body_motion_into(Activity activity, double duration_s,
+                      double sample_rate, Rng& rng, Signal& out,
+                      double scale) {
   VIBGUARD_REQUIRE(duration_s >= 0.0, "duration must be non-negative");
   VIBGUARD_REQUIRE(sample_rate > 0.0, "sample rate must be positive");
   VIBGUARD_REQUIRE(scale >= 0.0, "scale must be non-negative");
   const auto n = static_cast<std::size_t>(std::round(duration_s *
                                                      sample_rate));
+  out.reset(sample_rate);
+  out.resize(n);
   switch (activity) {
     case Activity::kResting: {
       // Slow drift: integrated low-pass noise around 0.3 Hz.
-      std::vector<double> out(n, 0.0);
       double v = 0.0;
       double phase = rng.uniform(0.0, kTwoPi);
       for (std::size_t i = 0; i < n; ++i) {
@@ -70,14 +78,13 @@ Signal body_motion(Activity activity, double duration_s, double sample_rate,
         v = 0.999 * v + rng.gaussian(0.0, 0.0003);
         out[i] = scale * (0.004 * std::sin(kTwoPi * 0.3 * t + phase) + v);
       }
-      return Signal(std::move(out), sample_rate);
+      return;
     }
     case Activity::kTyping: {
       // Sparse small wrist bumps (keystrokes) at a few per second. Each
       // bump is a raised-cosine pulse: the wrist rocks smoothly rather
       // than receiving a hard impulse, keeping the interference within the
       // daily-activity band.
-      std::vector<double> out(n, 0.0);
       const auto pulse_len =
           static_cast<std::size_t>(0.25 * sample_rate);  // 250 ms rock
       for (std::size_t i = 0; i < n; ++i) {
@@ -91,12 +98,14 @@ Signal body_motion(Activity activity, double duration_s, double sample_rate,
           }
         }
       }
-      return Signal(std::move(out), sample_rate);
+      return;
     }
     case Activity::kWalking:
-      return rhythmic(2.0, scale * 0.05, 2, duration_s, sample_rate, rng);
+      rhythmic(2.0, scale * 0.05, 2, sample_rate, rng, out);
+      return;
     case Activity::kRunning:
-      return rhythmic(2.9, scale * 0.12, 3, duration_s, sample_rate, rng);
+      rhythmic(2.9, scale * 0.12, 3, sample_rate, rng, out);
+      return;
   }
   throw InvalidArgument("unknown activity");
 }

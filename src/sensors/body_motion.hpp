@@ -33,4 +33,10 @@ std::vector<Activity> all_activities();
 Signal body_motion(Activity activity, double duration_s, double sample_rate,
                    Rng& rng, double scale = 1.0);
 
+/// Allocation-free overload of body_motion(): writes the same samples into
+/// `out`, reusing its capacity, with the same rng draws.
+void body_motion_into(Activity activity, double duration_s,
+                      double sample_rate, Rng& rng, Signal& out,
+                      double scale = 1.0);
+
 }  // namespace vibguard::sensors

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "dsp/filter.hpp"
+#include "dsp/simd.hpp"
 
 namespace vibguard::sensors {
 
@@ -54,9 +55,8 @@ void Speaker::render_into(const Signal& in, Signal& out,
     const double peak = out.peak();
     if (peak > 0.0) {
       const double drive = 1.0 + config_.distortion * 4.0;
-      for (double& s : out) {
-        s = peak * std::tanh(drive * s / peak) / std::tanh(drive);
-      }
+      dsp::simd::ops().soft_clip(out.samples().data(), out.size(), drive,
+                                 peak, peak / std::tanh(drive));
     }
   }
 }

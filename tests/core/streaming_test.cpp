@@ -476,10 +476,13 @@ TEST(StreamingTraceTest, StatsSeparateCallsFromTrials) {
     for (std::size_t off = 0; off < trial.va.size(); off += 2048) {
       const std::size_t n =
           std::min<std::size_t>(2048, trial.va.size() - off);
+      // The wearable channel is the shorter one here; once it runs out,
+      // push empty wearable frames rather than reading past its end.
+      const std::size_t woff = std::min(off, trial.wearable.size());
       pipeline.push(trial.va.samples().subspan(off, n),
                     trial.wearable.samples().subspan(
-                        off, std::min<std::size_t>(
-                                 n, trial.wearable.size() - off)));
+                        woff, std::min<std::size_t>(
+                                  n, trial.wearable.size() - woff)));
     }
     pipeline.finalize();
     stats.add(trace);

@@ -117,9 +117,11 @@ TEST(WearableTest, InterleavedDevicesMatchFreshCaptures) {
 
 TEST(WearableTest, SteadyStateCaptureIsAllocationFree) {
   // Once one scratch has seen every device/length combination, further
-  // captures — including the gain-table cache lookups — allocate nothing.
+  // captures — including the gain-table cache lookups and, in the activity
+  // overload, the generated body motion — allocate nothing.
   const Wearable devices[2] = {Wearable(fossil_gen5()), Wearable(moto360())};
   const auto recordings = mixed_length_recordings();
+  const auto activities = sensors::all_activities();
   dsp::Scratch scratch;
   Signal out;
   const auto sweep = [&] {
@@ -127,6 +129,10 @@ TEST(WearableTest, SteadyStateCaptureIsAllocationFree) {
       for (const Wearable& w : devices) {
         Rng rng(7);
         w.cross_domain_capture_into(recordings[r], rng, out, scratch);
+        for (sensors::Activity activity : activities) {
+          w.cross_domain_capture_into(recordings[r], activity, rng, out,
+                                      scratch);
+        }
       }
     }
   };

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -282,6 +283,92 @@ TEST(SimdKernelTest, LinearInterpBitIdenticalAcrossLevels) {
             << level_name(level) << " ratio=" << c.ratio << " i=" << i;
       }
     }
+  }
+}
+
+TEST(SimdKernelTest, SoftClipBitIdenticalAcrossLevels) {
+  Rng rng(109);
+  LevelGuard guard;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Both speaker drives (distortion 0.02 and 0.05), a clip at the peak and
+  // one well past it, and inputs that hit the clamp and the special values.
+  for (double drive : {1.08, 1.2}) {
+    for (std::size_t n : kSizes) {
+      auto x = random_vector(rng, n);
+      if (n >= 8) {
+        x[1] = 0.0;
+        x[2] = -0.0;
+        x[3] = 1e-310;
+        x[4] = 400.0;
+        x[5] = -kInf;
+      }
+      const double peak = 0.75;
+      const double scale = peak / std::tanh(drive);
+      std::vector<double> ref = x;
+      scalar::soft_clip(ref.data(), n, drive, peak, scale);
+      for (Level level : available_levels()) {
+        ASSERT_TRUE(set_level(level));
+        std::vector<double> got = x;
+        ops().soft_clip(got.data(), n, drive, peak, scale);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::signbit(got[i]), std::signbit(ref[i]));
+          EXPECT_EQ(got[i], ref[i])
+              << level_name(level) << " drive=" << drive << " n=" << n
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, SoftClipTanhMatchesStdTanh) {
+  // With drive = peak = scale = 1 the kernel returns the shared tanh itself.
+  std::vector<double> args;
+  for (double s = std::numeric_limits<double>::denorm_min(); s < 2.2e-308;
+       s *= 3.0) {
+    args.push_back(s);
+  }
+  args.push_back(std::numeric_limits<double>::min());
+  // |u| from 1e-8 to 25, log-spaced, one million points.
+  constexpr std::size_t kLogPoints = 1000000;
+  const double lo = std::log(1e-8), hi = std::log(25.0);
+  for (std::size_t i = 0; i < kLogPoints; ++i) {
+    args.push_back(std::exp(lo + (hi - lo) * static_cast<double>(i) /
+                                     static_cast<double>(kLogPoints - 1)));
+  }
+  args.push_back(1.08);  // the two speaker drives, exactly
+  args.push_back(1.2);
+  const std::size_t positive = args.size();
+  for (std::size_t i = 0; i < positive; ++i) args.push_back(-args[i]);
+
+  LevelGuard guard;
+  for (Level level : available_levels()) {
+    ASSERT_TRUE(set_level(level));
+    std::vector<double> got = args;
+    ops().soft_clip(got.data(), got.size(), 1.0, 1.0, 1.0);
+    double worst = 0.0;
+    std::size_t worst_i = 0;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const double want = std::tanh(args[i]);
+      const double err = std::abs(got[i] - want) / std::abs(want);
+      if (!(err <= worst)) {
+        worst = err;
+        worst_i = i;
+      }
+    }
+    EXPECT_LE(worst, 1e-15) << level_name(level) << " at u=" << args[worst_i];
+
+    double special[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+    ops().soft_clip(special, 5, 1.0, 1.0, 1.0);
+    EXPECT_EQ(special[0], 0.0);
+    EXPECT_FALSE(std::signbit(special[0]));
+    EXPECT_EQ(special[1], 0.0);
+    EXPECT_TRUE(std::signbit(special[1]));
+    EXPECT_EQ(special[2], 1.0) << level_name(level);
+    EXPECT_EQ(special[3], -1.0) << level_name(level);
+    EXPECT_TRUE(std::isnan(special[4])) << level_name(level);
   }
 }
 

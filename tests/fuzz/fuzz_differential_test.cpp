@@ -432,6 +432,72 @@ TEST(FuzzDifferential, DecimateAliasMatchesNaiveLinearResampler) {
   }
 }
 
+TEST(FuzzDifferential, GainsAndDecimateMatchesNaiveFilterAndSampler) {
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  // Input rates against the accelerometer's 200 Hz: R = 80, 240, 480 fold
+  // (F = 16, 16, 32); R = 75 and 220.5 take the unfolded path (F = 1).
+  const double rates[] = {16000.0, 48000.0, 96000.0, 15000.0, 44100.0};
+  constexpr double kTarget = 200.0;
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    const double fs = rates[rng.uniform_int(0, 4)];
+    const double ratio = fs / kTarget;
+    const auto r = static_cast<std::size_t>(ratio);
+    const std::size_t p = std::size_t{1} << rng.uniform_int(6, 15);
+    const std::size_t sizes[] = {1, r - 1, r, r + 1, p - 1, p, p + 1};
+    const std::size_t n = sizes[rng.uniform_int(0, 6)];
+    SCOPED_TRACE("fs = " + std::to_string(fs) + ", n = " + std::to_string(n));
+    const Signal in(rng.gaussian_vector(n), fs);
+    // A coupling-like high-pass knee at a random corner.
+    const double knee = rng.uniform(200.0, 2000.0);
+    const auto gain = [knee](double f) {
+      return 0.05 + 0.95 / (1.0 + std::pow(knee / std::max(f, 1e-3), 6.0));
+    };
+    const std::size_t m = dsp::gain_fft_size(n);
+    std::vector<double> table(m / 2 + 1);
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      table[k] = gain(dsp::bin_frequency(k, m, fs));
+    }
+
+    // The two-step path: whole filtered signal, then point sampling.
+    std::vector<dsp::Complex> spectrum;
+    dsp::gain_curve_spectrum(in, spectrum);
+    Signal filtered, two_step;
+    dsp::apply_gains_to_spectrum(spectrum, table, n, fs, filtered);
+    dsp::decimate_alias_into(filtered, kTarget, two_step);
+
+    dsp::gain_curve_spectrum(in, spectrum);
+    Signal got(std::vector<double>(5, 9.0), 1.0), work;
+    dsp::apply_gains_and_decimate(spectrum, table, n, fs, kTarget, got, work);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(
+                              std::floor(static_cast<double>(n) / ratio)));
+    EXPECT_EQ(got.sample_rate(), kTarget);
+    ASSERT_EQ(got.size(), two_step.size());
+    const bool folds = ratio == std::floor(ratio) && r % 2 == 0 && m >= 4;
+    double scale = 0.0;
+    for (double v : filtered) scale = std::max(scale, std::abs(v));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (folds) {
+        EXPECT_NEAR(got[i], two_step[i], 1e-12 * (1.0 + scale)) << i;
+      } else {
+        EXPECT_EQ(got[i], two_step[i]) << "sample " << i;  // F = 1: same path
+      }
+    }
+    // The naive O(m^2) references, on grids small enough to afford them.
+    if (m <= 1024) {
+      const Signal want = testing::naive_linear_resample(
+          testing::naive_gain_filter(in, gain), kTarget);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i], want[i], 1e-10) << "sample " << i;
+      }
+    }
+  }
+}
+
 TEST(FuzzDifferential, ResampleMatchesNaiveReference) {
   const std::size_t iters = testing::fuzz_iterations();
   const std::uint64_t base = testing::fuzz_base_seed();
@@ -546,6 +612,11 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
         rng.gaussian_vector(static_cast<std::size_t>(rng.uniform_int(1, 700))),
         rng.uniform(400.0, 16000.0));
     const auto gain = [](double f) { return 1.0 / (1.0 + f / 300.0); };
+    std::vector<double> clip_in =
+        rng.gaussian_vector(static_cast<std::size_t>(rng.uniform_int(0, 300)));
+    const double clip_drive = rng.uniform(1.0, 1.5);
+    const double clip_peak = rng.uniform(0.1, 4.0);
+    const double clip_scale = clip_peak / std::tanh(clip_drive);
 
     // Scalar pass: the reference every other level is held to.
     ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
@@ -558,6 +629,9 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     const double corr_ref = dsp::correlation_2d(corr_a, corr_b);
     const auto mfcc_ref = dsp::compute_mfcc(mfcc_sig);
     const Signal gain_ref = dsp::apply_gain_curve(gain_sig, gain);
+    std::vector<double> clip_ref = clip_in;
+    dsp::simd::ops().soft_clip(clip_ref.data(), clip_ref.size(), clip_drive,
+                               clip_peak, clip_scale);
 
     for (dsp::simd::Level level : levels) {
       if (level == dsp::simd::Level::kScalar) continue;
@@ -590,6 +664,12 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       ASSERT_EQ(gain_got.size(), gain_ref.size());
       for (std::size_t i = 0; i < gain_got.size(); ++i) {
         EXPECT_EQ(gain_got[i], gain_ref[i]) << "sample " << i;
+      }
+      std::vector<double> clip_got = clip_in;
+      dsp::simd::ops().soft_clip(clip_got.data(), clip_got.size(), clip_drive,
+                                 clip_peak, clip_scale);
+      for (std::size_t i = 0; i < clip_got.size(); ++i) {
+        EXPECT_EQ(clip_got[i], clip_ref[i]) << "soft clip sample " << i;
       }
 
       // Reduction-kernel pipelines: ULP-scaled tolerance.

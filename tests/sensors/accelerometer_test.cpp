@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/filter.hpp"
 #include "dsp/generate.hpp"
 #include "dsp/spectral.hpp"
 
@@ -123,6 +125,48 @@ TEST(AccelerometerTest, LfDominanceIsTheValueCaptureUses) {
   // Same physical quantity as the exact-length band fraction, to within
   // the grid difference.
   EXPECT_NEAR(d, dsp::band_energy_fraction(mixed, 0.0, 500.0), 5e-3);
+}
+
+// Effect 4's band fraction as a loop that asks bin_frequency about every
+// bin — the reference for the cutoff-bin search lf_dominance does instead.
+double per_bin_lf_dominance(const Signal& audio, double cutoff_hz) {
+  std::vector<dsp::Complex> spectrum;
+  dsp::gain_curve_spectrum(audio, spectrum);
+  const std::size_t m = dsp::gain_fft_size(audio.size());
+  double band = 0.0, total = 0.0;
+  for (std::size_t k = 0; k < spectrum.size(); ++k) {
+    const double re = spectrum[k].real(), im = spectrum[k].imag();
+    const double e = re * re + im * im;
+    total += e;
+    if (dsp::bin_frequency(k, m, audio.sample_rate()) <= cutoff_hz) band += e;
+  }
+  return total > 0.0 ? band / total : 0.0;
+}
+
+TEST(AccelerometerTest, LfDominanceCountsCutoffBinAndMatchesPerBinLoop) {
+  const Accelerometer acc;
+  ASSERT_EQ(acc.config().lf_dominance_cutoff_hz, 500.0);
+  Rng rng(13);
+  for (std::size_t m : {16384u, 32768u, 65536u}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    // 500 Hz at 16 kHz lands exactly on bin m/32 (k = 1024 at m = 32768):
+    // an m-sample tone there puts all its energy in the cutoff bin.
+    std::vector<double> x(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      x[i] = 0.05 * std::cos(2.0 * std::numbers::pi * 500.0 *
+                             static_cast<double>(i) / 16000.0);
+    }
+    const Signal on_bin(std::move(x), 16000.0);
+    ASSERT_EQ(dsp::gain_fft_size(on_bin.size()), m);
+    ASSERT_EQ(dsp::bin_frequency(m / 32, m, 16000.0), 500.0);
+    EXPECT_GT(acc.lf_dominance(on_bin), 0.999);
+    EXPECT_EQ(acc.lf_dominance(on_bin), per_bin_lf_dominance(on_bin, 500.0));
+
+    // Broadband noise padded onto the same grid: bit-identical too.
+    const Signal noise(rng.gaussian_vector(m - 123), 16000.0);
+    ASSERT_EQ(dsp::gain_fft_size(noise.size()), m);
+    EXPECT_EQ(acc.lf_dominance(noise), per_bin_lf_dominance(noise, 500.0));
+  }
 }
 
 TEST(AccelerometerTest, NoiseGrowsWithLfDominance) {

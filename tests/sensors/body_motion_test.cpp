@@ -38,6 +38,20 @@ TEST_P(ActivityTest, ScaleIsLinear) {
   }
 }
 
+TEST_P(ActivityTest, IntoOverloadIsBitIdentical) {
+  Rng r1(5), r2(5);
+  const Signal want = body_motion(GetParam(), 2.5, 200.0, r1, 1.5);
+  // A longer leftover at another rate must be fully replaced.
+  Signal got(std::vector<double>(900, 7.0), 16000.0);
+  body_motion_into(GetParam(), 2.5, 200.0, r2, got, 1.5);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.sample_rate(), want.sample_rate());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << activity_name(GetParam()) << " i=" << i;
+  }
+  EXPECT_EQ(r1.uniform(), r2.uniform());  // same draws consumed
+}
+
 INSTANTIATE_TEST_SUITE_P(AllActivities, ActivityTest,
                          ::testing::ValuesIn(all_activities()));
 
