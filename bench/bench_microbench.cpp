@@ -11,6 +11,7 @@
 #include "device/sync.hpp"
 #include "device/wearable.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fft_plan.hpp"
 #include "dsp/generate.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/resample.hpp"
@@ -61,7 +62,26 @@ void BM_Rfft(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Rfft)->Arg(64)->Arg(1024)->Arg(16384);
+// 32768 is the verdict path's size: sync and the speaker's gain filter run
+// their real transforms at next_pow2 of a ~19.5k-sample command.
+BENCHMARK(BM_Rfft)->Arg(64)->Arg(1024)->Arg(16384)->Arg(32768);
+
+void BM_Irfft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  std::vector<double> buf(n);
+  for (auto& v : buf) v = rng.gaussian();
+  const dsp::FftPlan& plan = dsp::get_plan(n);
+  std::vector<dsp::Complex> spec(n / 2 + 1);
+  plan.rfft(buf, spec);
+  for (auto _ : state) {
+    plan.irfft(spec, buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Irfft)->Arg(32768);
 
 void BM_StftPower(benchmark::State& state) {
   Rng rng(3);

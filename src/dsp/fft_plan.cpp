@@ -33,18 +33,17 @@ void FftPlan::init(bool build_real) {
   is_pow2_ = is_pow2(n_);
   pow2_n_ = is_pow2_ ? n_ : next_pow2(2 * n_ - 1);
 
-  // Bit-reversal permutation, stored as the swap pairs (i < j) the in-place
-  // pass applies, so the hot loop touches each pair exactly once.
+  // Bit-reversed indices for the gathering first pass: rev4_[q] reverses
+  // 4q over log2(pn) bits, i.e. q over log2(pn) - 2 bits, built by the
+  // usual recurrence rev(i) = rev(i / 2) / 2 | (i odd ? top bit : 0).
   const std::size_t pn = pow2_n_;
-  bitrev_.clear();
-  for (std::size_t i = 1, j = 0; i < pn; ++i) {
-    std::size_t bit = pn >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) {
-      bitrev_.push_back(i);
-      bitrev_.push_back(j);
-    }
+  const std::size_t quarter = pn / 4;
+  VIBGUARD_REQUIRE(quarter <= (std::size_t{1} << 32),
+                   "FFT plan size exceeds the uint32 index table");
+  rev4_.assign(quarter, 0);
+  for (std::size_t q = 1; q < quarter; ++q) {
+    rev4_[q] = static_cast<std::uint32_t>(
+        (rev4_[q >> 1] >> 1) | ((q & 1) != 0 ? quarter >> 1 : 0));
   }
 
   // Per-stage twiddles for stages len = 8..pn (the len = 2 and len = 4
@@ -58,7 +57,8 @@ void FftPlan::init(bool build_real) {
 
   if (!is_pow2_) {
     // Bluestein: cache the chirp w[k] = exp(-i*pi*k^2/n) and the forward
-    // FFT of the convolution kernel b[k] = conj(w[|k|]).
+    // FFT of the convolution kernel b[k] = conj(w[|k|]), built in the
+    // first half of work_.
     m_ = pow2_n_;
     chirp_.resize(n_);
     for (std::size_t k = 0; k < n_; ++k) {
@@ -68,13 +68,15 @@ void FftPlan::init(bool build_real) {
           -std::numbers::pi * k2 / static_cast<double>(n_);
       chirp_[k] = Complex(std::cos(angle), std::sin(angle));
     }
-    bspec_.assign(m_, Complex(0.0, 0.0));
-    bspec_[0] = std::conj(chirp_[0]);
+    work_.assign(2 * m_, Complex(0.0, 0.0));
+    Complex* kernel = work_.data();
+    kernel[0] = std::conj(chirp_[0]);
     for (std::size_t k = 1; k < n_; ++k) {
-      bspec_[k] = bspec_[m_ - k] = std::conj(chirp_[k]);
+      kernel[k] = kernel[m_ - k] = std::conj(chirp_[k]);
     }
-    run_pow2(bspec_, false);
-    work_.resize(m_);
+    bspec_.resize(m_);
+    run_pow2(reinterpret_cast<const double*>(kernel), 2 * m_, bspec_.data(),
+             false);
   }
 
   if (build_real && n_ % 2 == 0) {
@@ -82,60 +84,77 @@ void FftPlan::init(bool build_real) {
     half_ = std::unique_ptr<FftPlan>(new FftPlan(h, /*build_real=*/false));
     rtwiddle_.resize(h + 1);
     for (std::size_t k = 0; k <= h; ++k) rtwiddle_[k] = unit_root(k, n_);
-    rscratch_.resize(h);
   }
+  if (build_real) scratch_.resize(n_ % 2 == 0 && !is_pow2_ ? n_ / 2 : n_);
 }
 
-void FftPlan::run_pow2(std::span<Complex> data, bool inverse) const {
-  const std::size_t n = data.size();
-  Complex* d = data.data();
-  for (std::size_t p = 0; p + 1 < bitrev_.size(); p += 2) {
-    std::swap(d[bitrev_[p]], d[bitrev_[p + 1]]);
-  }
-
+void FftPlan::run_pow2(const double* src, std::size_t len, Complex* out,
+                       bool inverse) const {
+  const std::size_t n = pow2_n_;
   const simd::Ops& ops = simd::ops();
 
-  // The len = 2 and len = 4 stages have multiplication-free twiddles (1 and
-  // ∓i) and run fused through one dispatched kernel.
-  ops.fft_stage2_4(d, n, inverse);
+  // The bit-reversal permutation and the multiplication-free len = 2 and
+  // len = 4 stages (twiddles 1 and ∓i) run fused through one dispatched
+  // kernel, reading src at bit-reversed positions.
+  ops.fft_gather_stage2_4(out, src, len, rev4_.data(), n, inverse);
 
   // Remaining stages read twiddles from the table and run fused through one
   // dispatched kernel (scalar fallback is the pre-SIMD loop).
-  ops.fft_stages(d, n, twiddles_.data(), inverse);
+  ops.fft_stages(out, n, twiddles_.data(), inverse);
 
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) d[i] *= inv_n;
+    for (std::size_t i = 0; i < n; ++i) out[i] *= inv_n;
   }
 }
 
 void FftPlan::transform(std::span<Complex> data, bool inverse) const {
   VIBGUARD_REQUIRE(data.size() == n_, "buffer size must match plan size");
   if (is_pow2_) {
-    run_pow2(data, inverse);
+    // Out of place into the plan's buffer, then back.
+    run_pow2(reinterpret_cast<const double*>(data.data()), 2 * n_,
+             scratch_.data(), inverse);
+    std::copy_n(scratch_.data(), n_, data.data());
     return;
   }
 
   // Bluestein via the cached chirp. The inverse transform reuses the
-  // forward chirp through DFT^-1(x) = conj(DFT(conj(x))) / n.
+  // forward chirp through DFT^-1(x) = conj(DFT(conj(x))) / n. The first
+  // transform reads the n chirped samples as zero-padded to m.
   if (inverse) {
     for (Complex& x : data) x = std::conj(x);
   }
-  std::fill(work_.begin() + static_cast<std::ptrdiff_t>(n_), work_.end(),
-            Complex(0.0, 0.0));
+  Complex* a = work_.data();
+  Complex* b = a + m_;
   const simd::Ops& ops = simd::ops();
-  ops.complex_multiply_to(work_.data(), data.data(), chirp_.data(), n_);
-  run_pow2(work_, false);
-  ops.complex_multiply_to(work_.data(), work_.data(), bspec_.data(), m_);
-  run_pow2(work_, true);
+  ops.complex_multiply_to(a, data.data(), chirp_.data(), n_);
+  run_pow2(reinterpret_cast<const double*>(a), 2 * n_, b, false);
+  ops.complex_multiply_to(a, b, bspec_.data(), m_);
+  run_pow2(reinterpret_cast<const double*>(a), 2 * m_, b, true);
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n_);
     for (std::size_t k = 0; k < n_; ++k) {
-      data[k] = std::conj(work_[k] * chirp_[k]) * inv_n;
+      data[k] = std::conj(b[k] * chirp_[k]) * inv_n;
     }
   } else {
-    for (std::size_t k = 0; k < n_; ++k) data[k] = work_[k] * chirp_[k];
+    for (std::size_t k = 0; k < n_; ++k) data[k] = b[k] * chirp_[k];
   }
+}
+
+void FftPlan::packed_forward(const double* src, std::size_t len) const {
+  const std::size_t h = n_ / 2;
+  if (half_->is_pow2_) {
+    half_->run_pow2(src, len, scratch_.data(), false);
+    return;
+  }
+  // A Bluestein half plan transforms in place: pack (a straight copy, as
+  // complex<double> arrays are array-of-double compatible) and zero-pad.
+  auto* packed = reinterpret_cast<double*>(scratch_.data());
+  if (len > 0 && src != packed) {
+    std::memcpy(packed, src, len * sizeof(double));
+  }
+  std::fill(packed + len, packed + n_, 0.0);
+  half_->transform(std::span<Complex>(scratch_.data(), h), false);
 }
 
 void FftPlan::rfft(std::span<const double> in, std::span<Complex> out) const {
@@ -149,29 +168,23 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out) const {
   }
   if (n_ % 2 != 0) {
     // Odd length: no conjugate-symmetric split; run the complex path.
-    rscratch_.assign(n_, Complex(0.0, 0.0));
-    for (std::size_t i = 0; i < len; ++i) rscratch_[i] = Complex(in[i], 0.0);
-    transform(rscratch_, false);
-    for (std::size_t k = 0; k < out.size(); ++k) out[k] = rscratch_[k];
+    std::fill(scratch_.begin(), scratch_.end(), Complex(0.0, 0.0));
+    for (std::size_t i = 0; i < len; ++i) scratch_[i] = Complex(in[i], 0.0);
+    transform(scratch_, false);
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = scratch_[k];
     return;
   }
 
-  // Pack adjacent real samples into one complex sequence of half length
-  // (a straight copy: complex<double> arrays are array-of-double
-  // compatible), zero the padding, transform, then split the even/odd
+  // Transform adjacent real samples packed as one complex sequence of half
+  // length (read in place, zero padding implicit), then split the even/odd
   // sub-spectra by conjugate symmetry:
   //   X[k] = E[k] + exp(-2*pi*i*k/n) * O[k].
   const std::size_t h = n_ / 2;
-  rscratch_.resize(h);
-  auto* packed = reinterpret_cast<double*>(rscratch_.data());
-  if (len > 0) std::memcpy(packed, in.data(), len * sizeof(double));
-  std::fill(packed + len, packed + n_, 0.0);
-  half_->transform(rscratch_, false);
-
-  const Complex z0 = rscratch_[0];
+  packed_forward(in.data(), len);
+  const Complex z0 = scratch_[0];
   out[0] = Complex(z0.real() + z0.imag(), 0.0);
   out[h] = Complex(z0.real() - z0.imag(), 0.0);
-  simd::ops().rfft_split(rscratch_.data(), rtwiddle_.data(), h, out.data());
+  simd::ops().rfft_split(scratch_.data(), rtwiddle_.data(), h, out.data());
 }
 
 void FftPlan::irfft(std::span<const Complex> in, std::span<double> out) const {
@@ -190,15 +203,22 @@ void FftPlan::irfft(std::span<const Complex> in, std::span<double> out) const {
   //   O[k] = (X[k] - conj(X[h - k])) * exp(+2*pi*i*k/n) / 2
   // and Z[k] = E[k] + i*O[k] is the h-point spectrum of the packed
   // sequence z[j] = x[2j] + i*x[2j + 1]. Bin 0 pairs X[0] with X[h], both
-  // taken as real, under twiddle 1.
+  // taken as real, under twiddle 1. A power-of-two half plan gathers the
+  // merged spectrum from the upper half of scratch_ into the lower; a
+  // Bluestein one transforms it in place.
   const std::size_t h = n_ / 2;
-  rscratch_.resize(h);
+  Complex* merged = half_->is_pow2_ ? scratch_.data() + h : scratch_.data();
   const double x0 = in[0].real(), xh = in[h].real();
-  rscratch_[0] = Complex(0.5 * (x0 + xh), 0.5 * (x0 - xh));
-  simd::ops().irfft_merge(in.data(), rtwiddle_.data(), h, rscratch_.data());
-  half_->transform(rscratch_, true);
+  merged[0] = Complex(0.5 * (x0 + xh), 0.5 * (x0 - xh));
+  simd::ops().irfft_merge(in.data(), rtwiddle_.data(), h, merged);
+  if (half_->is_pow2_) {
+    half_->run_pow2(reinterpret_cast<const double*>(merged), n_,
+                    scratch_.data(), true);
+  } else {
+    half_->transform(std::span<Complex>(merged, h), true);
+  }
   if (!out.empty()) {
-    std::memcpy(out.data(), reinterpret_cast<const double*>(rscratch_.data()),
+    std::memcpy(out.data(), reinterpret_cast<const double*>(scratch_.data()),
                 out.size() * sizeof(double));
   }
 }
@@ -211,13 +231,12 @@ void FftPlan::magnitude(std::span<const double> in,
 
 void FftPlan::packed_power(std::span<double> out, double norm2) const {
   const std::size_t h = n_ / 2;
-  half_->transform(rscratch_, false);
-  const Complex z0 = rscratch_[0];
+  const Complex z0 = scratch_[0];
   const double x0 = z0.real() + z0.imag();
   const double xh = z0.real() - z0.imag();
   out[0] = x0 * x0 * norm2;
   out[h] = xh * xh * norm2;
-  simd::ops().rfft_split_power(rscratch_.data(), rtwiddle_.data(), h, norm2,
+  simd::ops().rfft_split_power(scratch_.data(), rtwiddle_.data(), h, norm2,
                                out.data());
 }
 
@@ -228,11 +247,7 @@ void FftPlan::power(std::span<const double> in, std::span<double> out) const {
   const double norm = 1.0 / static_cast<double>(n_);
   const double norm2 = norm * norm;
   if (n_ > 1 && n_ % 2 == 0) {
-    // Packing adjacent real samples into complex pairs is a straight copy.
-    const std::size_t h = n_ / 2;
-    rscratch_.resize(h);
-    std::memcpy(reinterpret_cast<double*>(rscratch_.data()), in.data(),
-                n_ * sizeof(double));
+    packed_forward(in.data(), n_);
     packed_power(out, norm2);
     return;
   }
@@ -251,13 +266,14 @@ void FftPlan::windowed_power(const double* in, const double* window,
   const double norm = 1.0 / static_cast<double>(n_);
   const double norm2 = norm * norm;
   if (n_ > 1 && n_ % 2 == 0) {
-    // Window while packing: the windowed frame never hits memory. A
-    // complex<double> array is array-of-double compatible, so the packed
-    // buffer is just the elementwise product written in place.
+    // Window into the gather source: the upper half of scratch_ for a
+    // power-of-two half plan, else the packed buffer the Bluestein half
+    // plan transforms in place.
     const std::size_t h = n_ / 2;
-    rscratch_.resize(h);
-    simd::multiply(in, window, reinterpret_cast<double*>(rscratch_.data()),
-                   n_);
+    Complex* frame = half_->is_pow2_ ? scratch_.data() + h : scratch_.data();
+    auto* samples = reinterpret_cast<double*>(frame);
+    simd::multiply(in, window, samples, n_);
+    packed_forward(samples, n_);
     packed_power(out, norm2);
     return;
   }

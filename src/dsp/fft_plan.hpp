@@ -1,12 +1,20 @@
 // Reusable FFT plans.
 //
 // An FftPlan precomputes everything about a transform size that the naive
-// path recomputes on every call: the bit-reversal permutation, per-stage
-// twiddle factors, and — for non-power-of-two sizes — the Bluestein chirp
-// sequence and the spectrum of its convolution kernel. Plans also provide a
+// path recomputes on every call: a table of bit-reversed indices (one
+// uint32 per four points), per-stage twiddle factors, and — for
+// non-power-of-two sizes — the Bluestein chirp sequence and the spectrum of
+// its convolution kernel. There is no bit-reversal swap pass: the first
+// pass of every power-of-two transform reads its input at bit-reversed
+// positions, out of place, and runs the len = 2 and len = 4 butterflies in
+// registers (simd::Ops::fft_gather_stage2_4). Plans also provide a
 // real-input transform (rfft) and its inverse (irfft) that run an even-N
 // real FFT through an N/2-point complex one, roughly halving the work of
-// every magnitude/power-spectrum call and of real-signal filtering.
+// every magnitude/power-spectrum call and of real-signal filtering; rfft
+// gathers straight from the caller's samples, zero padding included.
+//
+// Every buffer a plan owns is sized when the plan is built; no call grows
+// one.
 //
 // Plans are cached per thread by size (get_plan), so hot loops such as the
 // STFT pay the setup cost once per (thread, size) and the cache needs no
@@ -15,6 +23,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -66,19 +75,27 @@ class FftPlan {
                       std::span<double> out) const;
 
  private:
-  // Nested plans (the rfft half plan, the Bluestein work plan) skip their
-  // own real-input setup; only transform() is ever called on them.
+  // The nested rfft half plan skips real-input setup and the buffer: a
+  // power-of-two half plan only ever runs run_pow2 into its parent's
+  // buffer, a Bluestein one only transform() (which uses work_).
   FftPlan(std::size_t n, bool build_real);
   void init(bool build_real);
 
-  /// Radix-2 pass over a power-of-two buffer using the precomputed tables
-  /// (size pow2_n_: n_ itself when it is a power of two, else the Bluestein
-  /// work size m_).
-  void run_pow2(std::span<Complex> data, bool inverse) const;
+  /// The power-of-two transform (size pow2_n_: n_ itself when it is a power
+  /// of two, else the Bluestein work size m_) of the real array `src` of
+  /// `len` <= 2 * pow2_n_ doubles, read as complex pairs and zero-padded,
+  /// written out of place to `out` (pow2_n_ entries). The first pass
+  /// gathers the input in bit-reversed order, so no swap pass runs.
+  void run_pow2(const double* src, std::size_t len, Complex* out,
+                bool inverse) const;
 
-  /// Transforms the packed even/odd sequence already in rscratch_ and
-  /// writes one-sided power-spectrum bins (scaled by norm2) into out.
-  /// Even-size real-input fast path shared by power/windowed_power.
+  /// Even sizes: the n/2-point transform of the real input `src` (`len` <=
+  /// n doubles, zero-padded to n, read as packed even/odd pairs) into
+  /// scratch_[0, n/2) — the real-input core of rfft/power/windowed_power.
+  void packed_forward(const double* src, std::size_t len) const;
+
+  /// Writes one-sided power-spectrum bins (scaled by norm2) into out from
+  /// the packed spectrum packed_forward left in scratch_.
   void packed_power(std::span<double> out, double norm2) const;
 
   std::size_t n_ = 0;
@@ -88,19 +105,28 @@ class FftPlan {
   // Complex tables are 64-byte aligned: the SIMD butterfly/split kernels
   // stream them every transform.
   std::size_t pow2_n_ = 0;
-  std::vector<std::size_t> bitrev_;
+  std::vector<std::uint32_t> rev4_;  ///< bit-reversal of 4q, q < pow2_n_/4
   AlignedVector<Complex> twiddles_;  ///< stages concatenated: len=8,16,...,n
 
   // Bluestein machinery (non-power-of-two sizes).
   std::size_t m_ = 0;                ///< next_pow2(2n - 1) work size
   AlignedVector<Complex> chirp_;     ///< w[k] = exp(-i*pi*k^2/n)
   AlignedVector<Complex> bspec_;     ///< forward FFT of the chirp kernel b
-  mutable AlignedVector<Complex> work_;  ///< length-m_ convolution scratch
+  /// Two length-m_ halves: each run_pow2 gathers from the first into the
+  /// second.
+  mutable AlignedVector<Complex> work_;
 
   // Real-input machinery (even n_ only).
   std::unique_ptr<FftPlan> half_;       ///< n_/2-point complex plan
   AlignedVector<Complex> rtwiddle_;     ///< exp(-2*pi*i*k/n), k = 0..n/2
-  mutable AlignedVector<Complex> rscratch_;  ///< packed half-length buffer
+
+  /// Top-level plans' buffer, sized once at construction. Power-of-two n_:
+  /// n_ entries — transform()'s stage target; for rfft and friends the
+  /// packed spectrum in [0, n/2) and the gather source (irfft's merged
+  /// spectrum, windowed_power's frame) in [n/2, n). Other even n_: the n/2
+  /// packed pairs the Bluestein half plan transforms in place. Odd n_: the
+  /// n_ complex samples of rfft's fallback.
+  mutable AlignedVector<Complex> scratch_;
 };
 
 /// Thread-local size-keyed plan cache. The returned reference stays valid

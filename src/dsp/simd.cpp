@@ -40,28 +40,46 @@ void butterfly_stage(Complex* lo, Complex* hi, const Complex* tw,
   }
 }
 
-void fft_stage2_4(Complex* d, std::size_t n, bool inverse) {
-  // Stage len = 2: butterflies with w = 1.
-  for (std::size_t i = 0; i + 1 < n; i += 2) {
-    const Complex u = d[i];
-    const Complex v = d[i + 1];
-    d[i] = u + v;
-    d[i + 1] = u - v;
-  }
-  // Stage len = 4: w is 1 or -i (forward) / +i (inverse).
-  if (n >= 4) {
-    for (std::size_t i = 0; i < n; i += 4) {
-      const Complex u0 = d[i];
-      const Complex v0 = d[i + 2];
-      d[i] = u0 + v0;
-      d[i + 2] = u0 - v0;
-      const Complex x = d[i + 3];
-      const Complex v1 = inverse ? Complex(-x.imag(), x.real())
-                                 : Complex(x.imag(), -x.real());
-      const Complex u1 = d[i + 1];
-      d[i + 1] = u1 + v1;
-      d[i + 3] = u1 - v1;
+void fft_gather_stage2_4(Complex* out, const double* src, std::size_t len,
+                         const std::uint32_t* rev4, std::size_t n,
+                         bool inverse) {
+  const detail::PaddedPairs pairs(src, len);
+  const auto load = [&pairs](std::size_t p) {
+    const double* d = pairs.at(p);
+    return Complex(d[0], d[1]);
+  };
+  if (n < 4) {
+    // The bit-reversal of one or two points is the identity.
+    const Complex u = load(0);
+    if (n == 1) {
+      out[0] = u;
+      return;
     }
+    const Complex v = load(1);
+    out[0] = u + v;
+    out[1] = u - v;
+    return;
+  }
+  const std::size_t quarter = n / 4;
+  for (std::size_t q = 0; q < quarter; ++q) {
+    const std::size_t r = rev4[q];
+    // Stage len = 2: butterflies with w = 1.
+    const Complex c0 = load(r);
+    const Complex c1 = load(r + 2 * quarter);
+    const Complex t0 = c0 + c1;
+    const Complex t1 = c0 - c1;
+    const Complex c2 = load(r + quarter);
+    const Complex c3 = load(r + 3 * quarter);
+    const Complex v0 = c2 + c3;
+    const Complex x = c2 - c3;
+    // Stage len = 4: w is 1 or -i (forward) / +i (inverse).
+    Complex* o = out + 4 * q;
+    o[0] = t0 + v0;
+    o[2] = t0 - v0;
+    const Complex v1 = inverse ? Complex(-x.imag(), x.real())
+                               : Complex(x.imag(), -x.real());
+    o[1] = t1 + v1;
+    o[3] = t1 - v1;
   }
 }
 
@@ -208,7 +226,7 @@ const Ops kOps = {
     .level = Level::kScalar,
     .multiply = &multiply,
     .butterfly_stage = &butterfly_stage,
-    .fft_stage2_4 = &fft_stage2_4,
+    .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,

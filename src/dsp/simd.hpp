@@ -10,7 +10,10 @@
 //   - scalar   : always compiled; the reference every other level is held
 //                to (scalar ≡ auto). Apart from soft_clip, which replaced a
 //                std::tanh loop with an approximation every level shares,
-//                these are the pre-SIMD loops verbatim.
+//                these are the pre-SIMD loops verbatim (fft_gather_stage2_4
+//                runs the pre-SIMD len = 2 / len = 4 butterflies, but on
+//                inputs it gathers in bit-reversed order instead of after a
+//                separate swap pass).
 //   - avx2     : x86-64 with AVX2+FMA, compiled in its own translation unit
 //                (simd_avx2.cpp) with -mavx2 -mfma so the rest of the binary
 //                stays baseline-ISA; selected only when cpuid reports both
@@ -23,7 +26,7 @@
 // cross-check every dispatch level against the scalar reference.
 //
 // Numerical contract: kernels that map each output to an independent
-// expression (multiply, butterfly_stage, fft_stage2_4, fft_stages,
+// expression (multiply, butterfly_stage, fft_gather_stage2_4, fft_stages,
 // complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
 // linear_interp, soft_clip) are bit-identical across all levels —
 // the vector lanes perform the same operations in the same order as the
@@ -36,6 +39,7 @@
 #include <atomic>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace vibguard::dsp::simd {
@@ -77,10 +81,20 @@ struct Ops {
   void (*butterfly_stage)(Complex* lo, Complex* hi, const Complex* tw,
                           std::size_t half, bool inverse);
 
-  /// The fused multiplication-free len = 2 and len = 4 FFT stages over the
-  /// whole bit-reversed buffer (twiddles are 1 and ∓i, so the butterflies
-  /// reduce to adds/subs and a re/im swap). n must be a power of two.
-  void (*fft_stage2_4)(Complex* d, std::size_t n, bool inverse);
+  /// The first pass of an n-point power-of-two FFT, out of place: reads
+  /// the input in bit-reversed order and runs the multiplication-free
+  /// len = 2 and len = 4 stages on it in registers (twiddles 1 and ∓i, so
+  /// the butterflies reduce to adds/subs and a re/im swap). `src` is a real
+  /// array of `len` <= 2n doubles read as n complex pairs (pair p is
+  /// src[2p] + i*src[2p + 1]); doubles at or past `len` read as +0.0, so a
+  /// short source is zero-padded and an odd `len` half-fills its last pair.
+  /// For each q < n/4, r = rev4[q] is the bit-reversal of 4q over log2(n)
+  /// bits, and pairs r, r + n/2, r + n/4 and r + 3n/4 give out[4q..4q+3].
+  /// n = 1 and n = 2 need no table (their bit-reversal is the identity).
+  /// `out` (n entries) must not overlap `src`.
+  void (*fft_gather_stage2_4)(Complex* out, const double* src,
+                              std::size_t len, const std::uint32_t* rev4,
+                              std::size_t n, bool inverse);
 
   /// All remaining radix-2 stages (len = 8 .. n) over the whole buffer.
   /// `tw` is the plan's twiddle table laid out stage-major: half entries for
@@ -146,6 +160,29 @@ struct Ops {
 namespace detail {
 extern std::atomic<const Ops*> g_ops;
 const Ops* resolve();
+
+// fft_gather_stage2_4's zero-padded source: the address of complex pair p
+// of `len` real doubles. A whole pair is read in place; the half-filled
+// last pair of an odd `len` reads a copy of its sample beside +0.0; pairs
+// past the end read +0.0 twice. The choice is two selects on the index, so
+// the bit-reversed walk over a padded source does not mispredict branches
+// and a whole source pays nothing measurable for the check.
+class PaddedPairs {
+ public:
+  PaddedPairs(const double* src, std::size_t len) : src_(src), len_(len) {
+    if (len % 2 != 0) pad_[0] = src[len - 1];
+  }
+  const double* at(std::size_t p) const {
+    const std::size_t i = 2 * p;
+    const double* pad = i < len_ ? pad_ : pad_ + 2;
+    return i + 1 < len_ ? src_ + i : pad;
+  }
+
+ private:
+  const double* src_;
+  std::size_t len_;
+  double pad_[4] = {0.0, 0.0, 0.0, 0.0};  ///< half-filled pair, zero pair
+};
 
 // The soft clip's tanh, shared by every level so they stay bit-identical.
 // For a = min(|u|, kClamp) and y = 2a:
@@ -225,7 +262,9 @@ extern const Ops kOps;
 void multiply(const double* a, const double* b, double* out, std::size_t n);
 void butterfly_stage(Complex* lo, Complex* hi, const Complex* tw,
                      std::size_t half, bool inverse);
-void fft_stage2_4(Complex* d, std::size_t n, bool inverse);
+void fft_gather_stage2_4(Complex* out, const double* src, std::size_t len,
+                         const std::uint32_t* rev4, std::size_t n,
+                         bool inverse);
 void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse);
 void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n);

@@ -4,7 +4,7 @@
 // both features.
 //
 // Lane discipline: the elementwise kernels (multiply, butterfly_stage,
-// fft_stage2_4, fft_stages, complex_multiply_to, rfft_split_power,
+// fft_gather_stage2_4, fft_stages, complex_multiply_to, rfft_split_power,
 // rfft_split, irfft_merge, linear_interp, soft_clip) evaluate per-output
 // expressions with the same operations in the same order as the scalar
 // kernels — multiplication/addition operand swaps only where IEEE-754
@@ -18,6 +18,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 namespace vibguard::dsp::simd::avx2 {
 namespace {
@@ -145,20 +146,31 @@ void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse) {
   }
 }
 
-void fft_stage2_4(Complex* d, std::size_t n, bool inverse) {
+void fft_gather_stage2_4(Complex* out, const double* src, std::size_t len,
+                         const std::uint32_t* rev4, std::size_t n,
+                         bool inverse) {
   if (n < 4) {
-    scalar::fft_stage2_4(d, n, inverse);
+    scalar::fft_gather_stage2_4(out, src, len, rev4, n, inverse);
     return;
   }
-  double* pd = reinterpret_cast<double*>(d);
+  const detail::PaddedPairs pairs(src, len);
+  const auto load = [&pairs](std::size_t p) {
+    return _mm_loadu_pd(pairs.at(p));
+  };
+  double* po = reinterpret_cast<double*>(out);
   // len-4 stage twiddle is -i (forward) / +i (inverse): a re/im swap with
   // one sign flip. Negating via XOR matches the scalar code's negation
   // bit-for-bit.
   const __m256d v1_sign = inverse ? _mm256_set_pd(0.0, -0.0, 0.0, 0.0)
                                   : _mm256_set_pd(-0.0, 0.0, 0.0, 0.0);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(pd + 2 * i);      // [c0 c1]
-    const __m256d b = _mm256_loadu_pd(pd + 2 * i + 4);  // [c2 c3]
+  const std::size_t quarter = n / 4;
+  for (std::size_t q = 0; q < quarter; ++q) {
+    const std::size_t r = rev4[q];
+    // [c0 c1] and [c2 c3]: the pairs that belong at 4q..4q+3 in
+    // bit-reversed order.
+    const __m256d a = _mm256_set_m128d(load(r + 2 * quarter), load(r));
+    const __m256d b =
+        _mm256_set_m128d(load(r + 3 * quarter), load(r + quarter));
     // len-2 butterflies within each pair: [x y] -> [x+y, x-y].
     const __m256d aswap = _mm256_permute2f128_pd(a, a, 0x01);
     const __m256d bswap = _mm256_permute2f128_pd(b, b, 0x01);
@@ -172,8 +184,8 @@ void fft_stage2_4(Complex* d, std::size_t n, bool inverse) {
     const __m256d uswap = _mm256_permute_pd(u, 0x5);
     const __m256d v =
         _mm256_xor_pd(_mm256_blend_pd(u, uswap, 0b1100), v1_sign);
-    _mm256_storeu_pd(pd + 2 * i, _mm256_add_pd(t, v));
-    _mm256_storeu_pd(pd + 2 * i + 4, _mm256_sub_pd(t, v));
+    _mm256_storeu_pd(po + 8 * q, _mm256_add_pd(t, v));
+    _mm256_storeu_pd(po + 8 * q + 4, _mm256_sub_pd(t, v));
   }
 }
 
@@ -487,7 +499,7 @@ const Ops kOps = {
     .level = Level::kAvx2,
     .multiply = &multiply,
     .butterfly_stage = &butterfly_stage,
-    .fft_stage2_4 = &fft_stage2_4,
+    .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,

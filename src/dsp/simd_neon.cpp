@@ -98,7 +98,7 @@ const Ops kOps = {
     .level = Level::kNeon,
     .multiply = &multiply,
     .butterfly_stage = &scalar::butterfly_stage,
-    .fft_stage2_4 = &scalar::fft_stage2_4,
+    .fft_gather_stage2_4 = &scalar::fft_gather_stage2_4,
     .fft_stages = &scalar::fft_stages,
     .complex_multiply_to = &scalar::complex_multiply_to,
     .rfft_split_power = &scalar::rfft_split_power,

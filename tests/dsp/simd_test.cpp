@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -133,23 +136,89 @@ TEST(SimdKernelTest, ButterflyStageBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdKernelTest, FftStage24BitIdenticalAcrossLevels) {
+// The swap-pass form fft_gather_stage2_4 replaces: zero-pad `src` to n
+// pairs, permute into bit-reversed order, then run the len = 2 and len = 4
+// butterflies in place.
+std::vector<Complex> swap_then_stage2_4(const std::vector<double>& src,
+                                        std::size_t n, bool inverse) {
+  std::vector<Complex> d(n, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    reinterpret_cast<double*>(d.data())[i] = src[i];
+  }
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(d[i], d[j]);
+  }
+  for (std::size_t i = 0; i + 1 < n; i += 2) {
+    const Complex u = d[i];
+    const Complex v = d[i + 1];
+    d[i] = u + v;
+    d[i + 1] = u - v;
+  }
+  for (std::size_t i = 0; n >= 4 && i < n; i += 4) {
+    const Complex u0 = d[i];
+    const Complex v0 = d[i + 2];
+    d[i] = u0 + v0;
+    d[i + 2] = u0 - v0;
+    const Complex x = d[i + 3];
+    const Complex v1 = inverse ? Complex(-x.imag(), x.real())
+                               : Complex(x.imag(), -x.real());
+    const Complex u1 = d[i + 1];
+    d[i + 1] = u1 + v1;
+    d[i + 3] = u1 - v1;
+  }
+  return d;
+}
+
+// rev4[q] = bit-reversal of 4q over log2(n) bits.
+std::vector<std::uint32_t> rev4_table(std::size_t n) {
+  std::vector<std::uint32_t> rev4(n / 4);
+  const int bits = std::countr_zero(n);
+  for (std::size_t q = 0; q < rev4.size(); ++q) {
+    std::uint32_t r = 0;
+    for (int b = 0; b < bits; ++b) {
+      if (((4 * q) >> b) & 1) r |= std::uint32_t{1} << (bits - 1 - b);
+    }
+    rev4[q] = r;
+  }
+  return rev4;
+}
+
+bool same_bits(Complex a, Complex b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+TEST(SimdKernelTest, FftGatherStage2_4BitIdenticalAcrossLevels) {
   Rng rng(107);
   LevelGuard guard;
-  for (std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 256u}) {
-    for (bool inverse : {false, true}) {
-      const auto d0 = random_complex(rng, n);
-      auto ref = d0;
-      scalar::fft_stage2_4(ref.data(), n, inverse);
-      for (Level level : available_levels()) {
-        ASSERT_TRUE(set_level(level));
-        auto got = d0;
-        ops().fft_stage2_4(got.data(), n, inverse);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(got[i].real(), ref[i].real())
-              << level_name(level) << " n=" << n << " inverse=" << inverse
-              << " i=" << i;
-          EXPECT_EQ(got[i].imag(), ref[i].imag());
+  for (std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 256u, 4096u}) {
+    const auto rev4 = rev4_table(n);
+    // Whole sources, zero-padded ones (half, a quarter plus one), odd
+    // lengths that half-fill their last pair, and the empty source.
+    for (std::size_t len : {2 * n, 2 * n - 1, n, n / 2 + 1, std::size_t{3},
+                            std::size_t{1}, std::size_t{0}}) {
+      if (len > 2 * n) continue;
+      auto src = random_vector(rng, len);
+      // Signed zeros in the source must survive; padding must read +0.0.
+      if (len > 0) src[len / 2] = -0.0;
+      for (bool inverse : {false, true}) {
+        const auto want = swap_then_stage2_4(src, n, inverse);
+        for (Level level : available_levels()) {
+          ASSERT_TRUE(set_level(level));
+          std::vector<Complex> got(n, Complex(7.0, 7.0));
+          ops().fft_gather_stage2_4(got.data(), src.data(), len, rev4.data(),
+                                    n, inverse);
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(same_bits(got[i], want[i]))
+                << level_name(level) << " n=" << n << " len=" << len
+                << " inverse=" << inverse << " i=" << i << ": got "
+                << got[i] << ", want " << want[i];
+          }
         }
       }
     }

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -34,6 +38,7 @@
 #include "fuzz/fuzz_util.hpp"
 #include "reference/reference_dft.hpp"
 #include "reference/reference_dsp.hpp"
+#include "reference/reference_fft.hpp"
 #include "reference/reference_metrics.hpp"
 
 namespace vibguard {
@@ -171,6 +176,157 @@ TEST(FuzzDifferential, IrfftRoundTripsAndMatchesNaiveDft) {
       EXPECT_EQ(short_spec[k], pad_spec[k]) << "bin " << k;
     }
   }
+}
+
+// Exact equality down to the sign of zero: one failure per call, naming
+// the first differing element and how many differ.
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t first = got.size(), count = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      if (count++ == 0) first = i;
+    }
+  }
+  if (count > 0) {
+    ADD_FAILURE() << what << ": " << count << " of " << got.size()
+                  << " values differ, first at " << first << " (got "
+                  << got[first] << ", want " << want[first] << ")";
+  }
+}
+
+void expect_same_bits(std::span<const dsp::Complex> got,
+                      std::span<const dsp::Complex> want,
+                      const std::string& what) {
+  expect_same_bits(
+      std::span<const double>(reinterpret_cast<const double*>(got.data()),
+                              2 * got.size()),
+      std::span<const double>(reinterpret_cast<const double*>(want.data()),
+                              2 * want.size()),
+      what);
+}
+
+// Random samples in [-1, 1) with about one in sixteen replaced by -0.0, so
+// a zero pad that came out as -0.0 (or a dropped sign) shows in the bits.
+std::vector<double> signed_zero_vector(Rng& rng, std::size_t n) {
+  auto out = random_vector(rng, n, -1.0, 1.0);
+  for (double& v : out) {
+    if (rng.bernoulli(1.0 / 16.0)) v = -0.0;
+  }
+  return out;
+}
+
+TEST(FuzzDifferential, FftPlanBitIdenticalToSwapPassReference) {
+  const auto levels = dsp::simd::available_levels();
+  const dsp::simd::Level entry_level = dsp::simd::active_level();
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    // Every other trial a power of two from 1 to 65536; the rest mostly
+    // Bluestein sizes (odd, or even with a non-power-of-two half),
+    // log-uniform up to 4096, with one in 64 drawn from a few
+    // command-length sizes up to 65535. A fixed set keeps the per-thread
+    // plan cache small: every distinct size stays planned until exit.
+    constexpr std::size_t kLongSizes[] = {18689, 19462, 36333, 65535};
+    std::size_t m = 0;
+    if (it % 2 == 0) {
+      m = std::size_t{1} << rng.uniform_int(0, 16);
+    } else if (it % 128 == 1) {
+      m = kLongSizes[rng.uniform_int(0, 3)];
+    } else {
+      m = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::exp2(rng.uniform(0.0, 12.0))));
+    }
+    SCOPED_TRACE("m = " + std::to_string(m));
+
+    std::vector<dsp::Complex> x(m);
+    for (auto& v : x) {
+      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    }
+    std::vector<dsp::Complex> fwd_ref = x, inv_ref = x;
+    testing::reference_transform(fwd_ref, false);
+    testing::reference_transform(inv_ref, true);
+
+    // rfft of a zero-padded input at every boundary length up to m.
+    const auto half = static_cast<std::int64_t>(m / 2);
+    const auto mi = static_cast<std::int64_t>(m);
+    std::vector<std::vector<double>> rfft_in;
+    for (std::int64_t len :
+         {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, std::int64_t{3},
+          half - 1, half, half + 1, mi - 1, mi}) {
+      if (len < 0 || len > mi) continue;
+      rfft_in.push_back(
+          signed_zero_vector(rng, static_cast<std::size_t>(len)));
+    }
+    std::vector<std::vector<dsp::Complex>> rfft_ref;
+    for (const auto& in : rfft_in) {
+      rfft_ref.push_back(testing::reference_rfft(in, m));
+    }
+
+    // irfft (size 1 and even sizes only), whole and prefix outputs.
+    const bool has_irfft = m == 1 || m % 2 == 0;
+    std::vector<dsp::Complex> spec(m / 2 + 1);
+    for (auto& v : spec) {
+      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    }
+    const std::size_t prefix = static_cast<std::size_t>(rng.uniform_int(0, mi));
+    std::vector<double> irfft_ref, irfft_prefix_ref;
+    if (has_irfft) {
+      irfft_ref = testing::reference_irfft(spec, m, m);
+      irfft_prefix_ref = testing::reference_irfft(spec, m, prefix);
+    }
+
+    const auto sig = signed_zero_vector(rng, m);
+    const auto window = random_vector(rng, m, 0.0, 1.0);
+    const auto power_ref = testing::reference_power(sig);
+    const auto wpower_ref = testing::reference_windowed_power(sig, window);
+    const auto mag_ref = testing::reference_magnitude(sig);
+
+    for (dsp::simd::Level level : levels) {
+      SCOPED_TRACE(dsp::simd::level_name(level));
+      ASSERT_TRUE(dsp::simd::set_level(level));
+      const dsp::FftPlan& plan = dsp::get_plan(m);
+
+      std::vector<dsp::Complex> got = x;
+      plan.transform(got, false);
+      expect_same_bits(got, fwd_ref, "transform");
+      got = x;
+      plan.transform(got, true);
+      expect_same_bits(got, inv_ref, "inverse transform");
+
+      std::vector<dsp::Complex> bins(m / 2 + 1);
+      for (std::size_t i = 0; i < rfft_in.size(); ++i) {
+        plan.rfft(rfft_in[i], bins);
+        expect_same_bits(bins, rfft_ref[i],
+                         "rfft len " + std::to_string(rfft_in[i].size()));
+      }
+
+      if (has_irfft) {
+        std::vector<double> out(m);
+        plan.irfft(spec, out);
+        expect_same_bits(out, irfft_ref, "irfft");
+        std::vector<double> head(prefix);
+        plan.irfft(spec, head);
+        expect_same_bits(head, irfft_prefix_ref,
+                         "irfft prefix " + std::to_string(prefix));
+      }
+
+      std::vector<double> out(m / 2 + 1);
+      plan.power(sig, out);
+      expect_same_bits(out, power_ref, "power");
+      plan.windowed_power(sig.data(), window.data(), out);
+      expect_same_bits(out, wpower_ref, "windowed_power");
+      plan.magnitude(sig, out);
+      expect_same_bits(out, mag_ref, "magnitude");
+    }
+    dsp::simd::set_level(entry_level);
+  }
+  dsp::simd::set_level(entry_level);
 }
 
 TEST(FuzzDifferential, GainCurveMatchesNaiveZeroPhaseFilter) {
@@ -617,9 +773,28 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     const double clip_drive = rng.uniform(1.0, 1.5);
     const double clip_peak = rng.uniform(0.1, 4.0);
     const double clip_scale = clip_peak / std::tanh(clip_drive);
+    // The FFT's gathering first pass on its own: any power of two up to
+    // 4096, a source anywhere from empty to whole (odd lengths half-fill
+    // their last pair).
+    const std::size_t gather_n = std::size_t{1} << rng.uniform_int(0, 12);
+    const auto gather_src = random_vector(
+        rng,
+        static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(2 * gather_n))),
+        -1.0, 1.0);
+    const bool gather_inverse = rng.bernoulli(0.5);
+    std::vector<std::uint32_t> rev4(gather_n / 4, 0);
+    for (std::size_t q = 1; q < rev4.size(); ++q) {
+      rev4[q] = (rev4[q >> 1] >> 1) |
+                ((q & 1) != 0 ? static_cast<std::uint32_t>(gather_n / 8) : 0);
+    }
 
     // Scalar pass: the reference every other level is held to.
     ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
+    std::vector<dsp::Complex> gather_ref(gather_n);
+    dsp::simd::ops().fft_gather_stage2_4(gather_ref.data(), gather_src.data(),
+                                         gather_src.size(), rev4.data(),
+                                         gather_n, gather_inverse);
     std::vector<dsp::Complex> fft_ref = fft_in;
     dsp::get_plan(fft_n).transform(fft_ref, false);
     dsp::Spectrogram stft_ref;
@@ -639,6 +814,13 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       ASSERT_TRUE(dsp::simd::set_level(level));
 
       // Elementwise-kernel pipelines: bit-identical.
+      std::vector<dsp::Complex> gather_got(gather_n);
+      dsp::simd::ops().fft_gather_stage2_4(
+          gather_got.data(), gather_src.data(), gather_src.size(),
+          rev4.data(), gather_n, gather_inverse);
+      expect_same_bits(gather_got, gather_ref,
+                       "fft_gather_stage2_4 n " + std::to_string(gather_n) +
+                           " len " + std::to_string(gather_src.size()));
       std::vector<dsp::Complex> fft_got = fft_in;
       dsp::get_plan(fft_n).transform(fft_got, false);
       for (std::size_t i = 0; i < fft_n; ++i) {
