@@ -1,11 +1,13 @@
 // Micro-benchmarks for the hot computational kernels: FFT, STFT, MFCC,
-// cross-correlation sync, cross-domain capture and the full pipeline score.
+// cross-correlation sync, cross-domain capture, the quality census, the
+// audio features and the full pipeline score.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "core/quality.hpp"
 #include "core/segmentation.hpp"
 #include "core/streaming.hpp"
 #include "device/sync.hpp"
@@ -219,6 +221,42 @@ void BM_AccelerometerCapture(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AccelerometerCapture);
+
+// The audio-baseline route's own passes on a 1.2 s (19200-sample) pair,
+// on warm buffers: the input quality census of both channels, and the
+// audio features (two 512/128 power STFTs, each normalized by its max).
+void BM_QualityAssessPair(benchmark::State& state) {
+  Rng rng(13);
+  const Signal va = dsp::white_noise(1.2, 16000.0, 0.05, rng);
+  const Signal wear = dsp::white_noise(1.2, 16000.0, 0.05, rng);
+  const core::QualityConfig cfg;
+  core::QualityReport report;
+  for (auto _ : state) {
+    core::assess_pair(va, wear, cfg, report);
+    benchmark::DoNotOptimize(report.va.rms);
+    benchmark::DoNotOptimize(report.wearable.rms);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(va.size() + wear.size()));
+}
+BENCHMARK(BM_QualityAssessPair);
+
+void BM_AudioFeatures(benchmark::State& state) {
+  Rng rng(14);
+  const Signal va = dsp::white_noise(1.2, 16000.0, 0.05, rng);
+  const Signal wear = dsp::white_noise(1.2, 16000.0, 0.05, rng);
+  dsp::Spectrogram feat_va, feat_wear;
+  for (auto _ : state) {
+    dsp::stft_power_into(va, 512, 128, feat_va);
+    dsp::stft_power_into(wear, 512, 128, feat_wear);
+    feat_va.normalize_by_max();
+    feat_wear.normalize_by_max();
+    benchmark::DoNotOptimize(feat_va.values().data());
+    benchmark::DoNotOptimize(feat_wear.values().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AudioFeatures);
 
 void BM_FullPipelineScore(benchmark::State& state) {
   eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 8);

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "dsp/simd.hpp"
+
 namespace vibguard::core {
+namespace simd = dsp::simd;
 namespace {
 
 /// Amplitude below which a sample counts as "zero" for gap detection.
@@ -29,6 +32,49 @@ constexpr IssueName kIssueNames[] = {
     {kIssueDcOffset, "dc_offset", "dc_offset"},
 };
 
+// One sample of the census walk: the former assess_channel pass 1 body
+// verbatim, with its state lifted into the struct.
+void census_step(StreamingCensus& c, double x, std::size_t min_gap) {
+  ++c.total;
+  if (!std::isfinite(x)) {
+    ++c.non_finite;
+    // A non-finite sample terminates both runs.
+    if (c.zero_run >= min_gap) {
+      c.gap_samples += c.zero_run;
+      c.longest_gap = std::max(c.longest_gap, c.zero_run);
+    }
+    c.zero_run = 0;
+    c.longest_const = std::max(c.longest_const,
+                               c.have_prev ? c.const_run : std::size_t{0});
+    c.have_prev = false;
+    return;
+  }
+  ++c.finite_count;
+  c.sum += x;
+  c.sum_sq += x * x;
+  c.peak = std::max(c.peak, std::abs(x));
+
+  if (std::abs(x) <= kZeroEps) {
+    ++c.zero_run;
+  } else {
+    if (c.zero_run >= min_gap) {
+      c.gap_samples += c.zero_run;
+      c.longest_gap = std::max(c.longest_gap, c.zero_run);
+    }
+    c.zero_run = 0;
+  }
+
+  if (c.have_prev && x == c.prev && std::abs(x) > kZeroEps) {
+    ++c.const_run;
+  } else {
+    c.longest_const = std::max(c.longest_const,
+                               c.have_prev ? c.const_run : std::size_t{0});
+    c.const_run = 1;
+  }
+  c.prev = x;
+  c.have_prev = true;
+}
+
 }  // namespace
 
 std::string quality_issue_names(std::uint32_t issues) {
@@ -49,49 +95,35 @@ std::size_t min_gap_samples(const QualityConfig& cfg, double sample_rate) {
 
 void StreamingCensus::update(std::span<const double> samples,
                              std::size_t min_gap) {
-  // The loop body is the former assess_channel pass 1 verbatim, with its
-  // state lifted into the struct: every accumulation is strictly
-  // left-to-right, so any chunking of the input reproduces the whole-signal
-  // walk bit for bit.
-  for (const double x : samples) {
-    ++total;
-    if (!std::isfinite(x)) {
-      ++non_finite;
-      // A non-finite sample terminates both runs.
-      if (zero_run >= min_gap) {
-        gap_samples += zero_run;
-        longest_gap = std::max(longest_gap, zero_run);
+  // Every accumulation is strictly left to right, so any chunking of the
+  // input reproduces the whole-signal walk bit for bit. Most samples are
+  // plain: finite, not a zero, and unequal to the one before. Once the
+  // previous sample was plain too (no open zero run, a constant run of 1),
+  // a plain sample only adds to the sums, raises the peak and closes a
+  // constant run of 1, so whole blocks of them go through the dispatched
+  // scan; the block that holds an event takes the per-sample body.
+  const simd::Ops& ops = simd::ops();
+  const double* x = samples.data();
+  const std::size_t n = samples.size();
+  std::size_t i = 0;
+  while (i < n) {
+    if (have_prev && const_run == 1 && zero_run == 0) {
+      simd::CensusSums acc{sum, sum_sq, peak};
+      const std::size_t plain =
+          ops.census_plain(x + i, n - i, prev, kZeroEps, acc);
+      if (plain > 0) {
+        sum = acc.sum;
+        sum_sq = acc.sum_sq;
+        peak = acc.peak;
+        total += plain;
+        finite_count += plain;
+        longest_const = std::max(longest_const, const_run);
+        prev = x[i + plain - 1];
+        i += plain;
       }
-      zero_run = 0;
-      longest_const =
-          std::max(longest_const, have_prev ? const_run : std::size_t{0});
-      have_prev = false;
-      continue;
     }
-    ++finite_count;
-    sum += x;
-    sum_sq += x * x;
-    peak = std::max(peak, std::abs(x));
-
-    if (std::abs(x) <= kZeroEps) {
-      ++zero_run;
-    } else {
-      if (zero_run >= min_gap) {
-        gap_samples += zero_run;
-        longest_gap = std::max(longest_gap, zero_run);
-      }
-      zero_run = 0;
-    }
-
-    if (have_prev && x == prev && std::abs(x) > kZeroEps) {
-      ++const_run;
-    } else {
-      longest_const =
-          std::max(longest_const, have_prev ? const_run : std::size_t{0});
-      const_run = 1;
-    }
-    prev = x;
-    have_prev = true;
+    const std::size_t stop = std::min(n, i + 4);
+    for (; i < stop; ++i) census_step(*this, x[i], min_gap);
   }
 }
 
@@ -133,11 +165,8 @@ ChannelQuality StreamingCensus::finalize(const Signal& signal,
   // Pass 2: clipping census needs the peak from pass 1.
   if (peak > 0.0) {
     const double clip_level = cfg.clip_level_fraction * peak;
-    std::size_t clipped = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = signal[i];
-      if (std::isfinite(x) && std::abs(x) >= clip_level) ++clipped;
-    }
+    const std::size_t clipped = simd::ops().count_clipped(
+        signal.samples().data(), n, clip_level);
     q.clip_ratio = static_cast<double>(clipped) / static_cast<double>(n);
   }
 

@@ -118,6 +118,16 @@ struct QualityReport {
 /// itself is implemented on top of it). The peak-relative clipping census
 /// needs the final peak and therefore lives in finalize(), which re-reads
 /// the buffered signal the streaming caller already holds.
+///
+/// Most samples are plain: finite, |x| > 1e-9 and unequal to the sample
+/// before. Once the census has just seen a plain sample, blocks of four
+/// plain samples go through a dispatched vector scan
+/// (dsp::simd::Ops::census_plain) that only adds them to the sums, in
+/// sample order, and raises the peak; the first block holding an event
+/// (a non-finite sample, a zero or a repeat) takes the per-sample body.
+/// The clipping census is a vector count (Ops::count_clipped). The sums
+/// stay strictly left to right at every level, so rms and dc_offset keep
+/// the per-sample walk's bits.
 struct StreamingCensus {
   // Moments over the finite samples.
   double sum = 0.0;

@@ -101,11 +101,6 @@ void FftPlan::run_pow2(const double* src, std::size_t len, Complex* out,
   // Remaining stages read twiddles from the table and run fused through one
   // dispatched kernel (scalar fallback is the pre-SIMD loop).
   ops.fft_stages(out, n, twiddles_.data(), inverse);
-
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] *= inv_n;
-  }
 }
 
 void FftPlan::transform(std::span<Complex> data, bool inverse) const {
@@ -114,6 +109,10 @@ void FftPlan::transform(std::span<Complex> data, bool inverse) const {
     // Out of place into the plan's buffer, then back.
     run_pow2(reinterpret_cast<const double*>(data.data()), 2 * n_,
              scratch_.data(), inverse);
+    if (inverse) {
+      const double inv_n = 1.0 / static_cast<double>(n_);
+      for (std::size_t i = 0; i < n_; ++i) scratch_[i] *= inv_n;
+    }
     std::copy_n(scratch_.data(), n_, data.data());
     return;
   }
@@ -131,6 +130,8 @@ void FftPlan::transform(std::span<Complex> data, bool inverse) const {
   run_pow2(reinterpret_cast<const double*>(a), 2 * n_, b, false);
   ops.complex_multiply_to(a, b, bspec_.data(), m_);
   run_pow2(reinterpret_cast<const double*>(a), 2 * m_, b, true);
+  const double inv_m = 1.0 / static_cast<double>(m_);
+  for (std::size_t k = 0; k < m_; ++k) b[k] *= inv_m;
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n_);
     for (std::size_t k = 0; k < n_; ++k) {
@@ -204,22 +205,25 @@ void FftPlan::irfft(std::span<const Complex> in, std::span<double> out) const {
   // and Z[k] = E[k] + i*O[k] is the h-point spectrum of the packed
   // sequence z[j] = x[2j] + i*x[2j + 1]. Bin 0 pairs X[0] with X[h], both
   // taken as real, under twiddle 1. A power-of-two half plan gathers the
-  // merged spectrum from the upper half of scratch_ into the lower; a
-  // Bluestein one transforms it in place.
+  // merged spectrum from the upper half of scratch_ into the lower, and its
+  // 1/h scale is applied only to the out.size() samples copied out; a
+  // Bluestein one transforms it in place, scaled.
   const std::size_t h = n_ / 2;
   Complex* merged = half_->is_pow2_ ? scratch_.data() + h : scratch_.data();
   const double x0 = in[0].real(), xh = in[h].real();
   merged[0] = Complex(0.5 * (x0 + xh), 0.5 * (x0 - xh));
   simd::ops().irfft_merge(in.data(), rtwiddle_.data(), h, merged);
+  const auto* samples = reinterpret_cast<const double*>(scratch_.data());
   if (half_->is_pow2_) {
     half_->run_pow2(reinterpret_cast<const double*>(merged), n_,
                     scratch_.data(), true);
-  } else {
-    half_->transform(std::span<Complex>(merged, h), true);
+    const double inv_h = 1.0 / static_cast<double>(h);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = samples[i] * inv_h;
+    return;
   }
+  half_->transform(std::span<Complex>(merged, h), true);
   if (!out.empty()) {
-    std::memcpy(out.data(), reinterpret_cast<const double*>(scratch_.data()),
-                out.size() * sizeof(double));
+    std::memcpy(out.data(), samples, out.size() * sizeof(double));
   }
 }
 
@@ -281,6 +285,27 @@ void FftPlan::windowed_power(const double* in, const double* window,
   frame.resize(n_);
   simd::multiply(in, window, frame.data(), n_);
   power(frame, out);
+}
+
+void FftPlan::windowed_power_frames(const double* in, std::size_t hop,
+                                    std::size_t frames, const double* window,
+                                    double* out) const {
+  const std::size_t bins = n_ / 2 + 1;
+  std::size_t f = 0;
+  if (is_pow2_ && n_ >= 8 && frames >= 4) {
+    if (lanes_.empty()) lanes_.resize(4 * n_);
+    const double norm = 1.0 / static_cast<double>(n_);
+    const simd::FrameTables tables{n_, half_->rev4_.data(),
+                                   half_->twiddles_.data(), rtwiddle_.data()};
+    const simd::Ops& ops = simd::ops();
+    for (; f + 4 <= frames; f += 4) {
+      ops.windowed_power4(in + f * hop, hop, window, tables, norm * norm,
+                          lanes_.data(), out + f * bins);
+    }
+  }
+  for (; f < frames; ++f) {
+    windowed_power(in + f * hop, window, std::span<double>(out + f * bins, bins));
+  }
 }
 
 const FftPlan& get_plan(std::size_t n) {

@@ -13,8 +13,9 @@
 // every magnitude/power-spectrum call and of real-signal filtering; rfft
 // gathers straight from the caller's samples, zero padding included.
 //
-// Every buffer a plan owns is sized when the plan is built; no call grows
-// one.
+// Every buffer a plan owns is sized when the plan is built, apart from the
+// STFT's four-frame lane buffer, which a plan sizes the first time it runs
+// windowed_power_frames; no call grows one.
 //
 // Plans are cached per thread by size (get_plan), so hot loops such as the
 // STFT pay the setup cost once per (thread, size) and the cache needs no
@@ -74,6 +75,17 @@ class FftPlan {
   void windowed_power(const double* in, const double* window,
                       std::span<double> out) const;
 
+  /// Power spectra of `frames` STFT frames: frame f is the size() samples
+  /// at in + f * hop, and its n/2 + 1 bins go to out + f * (n/2 + 1). Each
+  /// row equals windowed_power of its frame bit for bit. Power-of-two sizes
+  /// of at least 8 run four frames at a time through
+  /// simd::Ops::windowed_power4 (one frame per AVX2 lane) and the last
+  /// frames % 4 one by one; the first four-frame call sizes the plan's lane
+  /// buffer (4 * size() doubles), which is never resized.
+  void windowed_power_frames(const double* in, std::size_t hop,
+                             std::size_t frames, const double* window,
+                             double* out) const;
+
  private:
   // The nested rfft half plan skips real-input setup and the buffer: a
   // power-of-two half plan only ever runs run_pow2 into its parent's
@@ -85,7 +97,9 @@ class FftPlan {
   /// of two, else the Bluestein work size m_) of the real array `src` of
   /// `len` <= 2 * pow2_n_ doubles, read as complex pairs and zero-padded,
   /// written out of place to `out` (pow2_n_ entries). The first pass
-  /// gathers the input in bit-reversed order, so no swap pass runs.
+  /// gathers the input in bit-reversed order, so no swap pass runs. The
+  /// inverse is unscaled: each caller applies 1/pow2_n_ itself, irfft only
+  /// to the samples it keeps.
   void run_pow2(const double* src, std::size_t len, Complex* out,
                 bool inverse) const;
 
@@ -127,6 +141,10 @@ class FftPlan {
   /// packed pairs the Bluestein half plan transforms in place. Odd n_: the
   /// n_ complex samples of rfft's fallback.
   mutable AlignedVector<Complex> scratch_;
+
+  /// windowed_power_frames' four-frame scratch: empty until that first
+  /// runs on this plan, then 4 * n_ doubles.
+  mutable AlignedVector<double> lanes_;
 };
 
 /// Thread-local size-keyed plan cache. The returned reference stays valid

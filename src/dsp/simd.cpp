@@ -1,9 +1,11 @@
 #include "dsp/simd.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -93,6 +95,29 @@ void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse) {
   }
 }
 
+void windowed_power4(const double* in, std::size_t hop, const double* window,
+                     const FrameTables& tables, double norm2, double* lanes,
+                     double* out) {
+  // FftPlan::windowed_power's sequence, one frame after another: the
+  // windowed frame in the first n doubles of `lanes`, its packed spectrum
+  // in the next n.
+  const std::size_t n = tables.n;
+  const std::size_t h = n / 2;
+  double* frame = lanes;
+  auto* z = reinterpret_cast<Complex*>(lanes + n);
+  for (std::size_t l = 0; l < 4; ++l) {
+    multiply(in + l * hop, window, frame, n);
+    fft_gather_stage2_4(z, frame, n, tables.rev4, h, false);
+    fft_stages(z, h, tables.tw, false);
+    double* o = out + l * (h + 1);
+    const double x0 = z[0].real() + z[0].imag();
+    const double xh = z[0].real() - z[0].imag();
+    o[0] = x0 * x0 * norm2;
+    o[h] = xh * xh * norm2;
+    rfft_split_power(z, tables.rtw, h, norm2, o);
+  }
+}
+
 void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -179,6 +204,45 @@ PearsonMoments pearson_moments(const double* a, const double* b,
   return m;
 }
 
+double max_value(const double* x, std::size_t n) {
+  double best = 0.0;
+  for (std::size_t i = 0; i < n; ++i) best = std::max(best, x[i]);
+  return best;
+}
+
+void divide(double* x, std::size_t n, double d) {
+  for (std::size_t i = 0; i < n; ++i) x[i] /= d;
+}
+
+std::size_t census_plain(const double* x, std::size_t n, double prev,
+                         double zero_eps, CensusSums& acc) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    bool event = false;
+    for (std::size_t j = i; j < i + 4; ++j) {
+      const double a = std::abs(x[j]);
+      const double before = j == 0 ? prev : x[j - 1];
+      event |= !(a > zero_eps && a <= kMax) || x[j] == before;
+    }
+    if (event) break;
+    for (std::size_t j = i; j < i + 4; ++j) {
+      acc.sum += x[j];
+      acc.sum_sq += x[j] * x[j];
+      acc.peak = std::max(acc.peak, std::abs(x[j]));
+    }
+  }
+  return i;
+}
+
+std::size_t count_clipped(const double* x, std::size_t n, double level) {
+  std::size_t clipped = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isfinite(x[i]) && std::abs(x[i]) >= level) ++clipped;
+  }
+  return clipped;
+}
+
 namespace {
 
 // detail::tanh_approx, one lane. The AVX2 kernel mirrors every operation
@@ -228,6 +292,7 @@ const Ops kOps = {
     .butterfly_stage = &butterfly_stage,
     .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
+    .windowed_power4 = &windowed_power4,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
     .rfft_split = &rfft_split,
@@ -236,6 +301,10 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,
     .pearson_moments = &pearson_moments,
+    .max_value = &max_value,
+    .divide = &divide,
+    .census_plain = &census_plain,
+    .count_clipped = &count_clipped,
     .soft_clip = &soft_clip,
 };
 

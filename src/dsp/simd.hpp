@@ -1,11 +1,12 @@
 // Runtime-dispatched SIMD kernels for the DSP hot paths.
 //
-// Every vectorizable inner loop in the DSP layer (FFT butterflies, the fused
-// STFT frame kernel, mel filterbank/DCT dot products, the resampler's linear
-// interpolation and FIR convolution, the fused 2-D Pearson moments, and the
-// speaker's tanh soft clip) is routed through one of the kernel entry points
-// below. Each entry point dispatches through a per-process table of function
-// pointers selected once at first use:
+// Every vectorizable inner loop in the DSP layer (FFT butterflies, the
+// four-frame STFT kernel, the spectrogram max and divide, mel filterbank/DCT
+// dot products, the resampler's linear interpolation and FIR convolution,
+// the fused 2-D Pearson moments, the speaker's tanh soft clip) and the
+// signal-quality census's scan is routed through one of the kernel entry
+// points below. Each entry point dispatches through a per-process table of
+// function pointers selected once at first use:
 //
 //   - scalar   : always compiled; the reference every other level is held
 //                to (scalar ≡ auto). Apart from soft_clip, which replaced a
@@ -13,7 +14,10 @@
 //                these are the pre-SIMD loops verbatim (fft_gather_stage2_4
 //                runs the pre-SIMD len = 2 / len = 4 butterflies, but on
 //                inputs it gathers in bit-reversed order instead of after a
-//                separate swap pass).
+//                separate swap pass; windowed_power4 is the per-frame
+//                sequence four times; census_plain's block test is new, but
+//                on the samples it passes it performs the census loop's own
+//                sums in its order).
 //   - avx2     : x86-64 with AVX2+FMA, compiled in its own translation unit
 //                (simd_avx2.cpp) with -mavx2 -mfma so the rest of the binary
 //                stays baseline-ISA; selected only when cpuid reports both
@@ -26,14 +30,21 @@
 // cross-check every dispatch level against the scalar reference.
 //
 // Numerical contract: kernels that map each output to an independent
-// expression (multiply, butterfly_stage, fft_gather_stage2_4, fft_stages,
-// complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
-// linear_interp, soft_clip) are bit-identical across all levels —
-// the vector lanes perform the same operations in the same order as the
-// scalar code, and the SIMD translation units disable FP contraction. The
-// reduction kernels (dot, dot_reverse, pearson_moments) reassociate their
-// accumulation (vector lanes + FMA) and agree with scalar only to ULP-scaled
-// tolerance; callers needing cross-level bit-identity must not rely on them.
+// expression (multiply, divide, butterfly_stage, fft_gather_stage2_4,
+// fft_stages, windowed_power4, complex_multiply_to, rfft_split_power,
+// rfft_split, irfft_merge, linear_interp, soft_clip) are bit-identical
+// across all levels — the vector lanes perform the same operations in the
+// same order as the scalar code, and the SIMD translation units disable FP
+// contraction. windowed_power4 runs one STFT frame per vector lane, each
+// lane the per-frame operation sequence. Three reductions are bit-identical
+// too, because their result does not depend on the order they are taken
+// in: max_value (the largest positive value, else +0.0), count_clipped (an
+// integer count) and census_plain (its sums stay strictly left to right in
+// every level; only the event test and the peak are vector operations).
+// The other reduction kernels (dot, dot_reverse, pearson_moments)
+// reassociate their accumulation (vector lanes + FMA) and agree with scalar
+// only to ULP-scaled tolerance; callers needing cross-level bit-identity
+// must not rely on them.
 #pragma once
 
 #include <atomic>
@@ -63,6 +74,22 @@ struct PearsonMoments {
   double saa = 0.0;
   double sbb = 0.0;
   double sab = 0.0;
+};
+
+/// Running state of the quality census's fast path (census_plain).
+struct CensusSums {
+  double sum = 0.0;     ///< sum of x, strictly left to right
+  double sum_sq = 0.0;  ///< sum of x * x, strictly left to right
+  double peak = 0.0;    ///< max |x|
+};
+
+/// The tables an n-point STFT frame transform reads (n = 2h, h a power of
+/// two >= 4): those of the plan's h-point half plan and of its real split.
+struct FrameTables {
+  std::size_t n = 0;
+  const std::uint32_t* rev4 = nullptr;  ///< half plan's, h/4 entries
+  const Complex* tw = nullptr;   ///< half plan's stage twiddles, h-4 entries
+  const Complex* rtw = nullptr;  ///< exp(-2*pi*i*k/n), k = 0..h
 };
 
 /// The dispatch table: one function pointer per vectorized kernel. All
@@ -103,6 +130,17 @@ struct Ops {
   /// per-block loop runs inside the kernel so the butterfly inlines.
   void (*fft_stages)(Complex* d, std::size_t n, const Complex* tw,
                      bool inverse);
+
+  /// Power spectra of four STFT frames at once: frame l < 4 is the n
+  /// samples at in + l*hop, and its n/2 + 1 bins go to out + l*(n/2 + 1).
+  /// Each frame's bins equal FftPlan::windowed_power's bit for bit: window
+  /// multiply, the h-point transform of the packed pairs (fft_gather_stage2_4
+  /// then fft_stages, forward), the split to power scaled by norm2. `lanes`
+  /// is 4n doubles of 32-byte aligned scratch. The scalar kernel runs the
+  /// four frames one after another; the AVX2 one runs one frame per lane.
+  void (*windowed_power4)(const double* in, std::size_t hop,
+                          const double* window, const FrameTables& tables,
+                          double norm2, double* lanes, double* out);
 
   /// out[i] = a[i] * b[i] (textbook complex product; out may alias a).
   void (*complex_multiply_to)(Complex* out, const Complex* a, const Complex* b,
@@ -148,6 +186,26 @@ struct Ops {
   /// level-dependent rounding.
   PearsonMoments (*pearson_moments)(const double* a, const double* b,
                                     std::size_t n);
+
+  /// std::max(best, x[i]) folded over i in [0, n) from best = +0.0: the
+  /// largest positive value, else +0.0 (NaN and -0.0 never win).
+  double (*max_value)(const double* x, std::size_t n);
+
+  /// x[i] = x[i] / d for i in [0, n) (IEEE division, not a reciprocal).
+  void (*divide)(double* x, std::size_t n, double d);
+
+  /// The quality census's fast path (core::StreamingCensus::update): walks
+  /// x[0..n) in blocks of four and stops before the first block holding an
+  /// event — a non-finite sample, |x| <= zero_eps, or x == the sample
+  /// before it (`prev` before x[0]). Over the blocks it passes it folds
+  /// sum += x and sum_sq += x * x strictly left to right and peak =
+  /// max(peak, |x|) into `acc`, and returns the samples passed (a multiple
+  /// of four).
+  std::size_t (*census_plain)(const double* x, std::size_t n, double prev,
+                              double zero_eps, CensusSums& acc);
+
+  /// Number of finite x[i] with |x[i]| >= level (the clipping census).
+  std::size_t (*count_clipped)(const double* x, std::size_t n, double level);
 
   /// Soft clip in place: x[i] = tanh(drive * x[i] / peak) * scale, where
   /// the caller passes scale = peak / std::tanh(drive). tanh is the shared
@@ -266,6 +324,9 @@ void fft_gather_stage2_4(Complex* out, const double* src, std::size_t len,
                          const std::uint32_t* rev4, std::size_t n,
                          bool inverse);
 void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse);
+void windowed_power4(const double* in, std::size_t hop, const double* window,
+                     const FrameTables& tables, double norm2, double* lanes,
+                     double* out);
 void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n);
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
@@ -280,6 +341,11 @@ void linear_interp(const double* in, std::size_t in_size, double ratio,
                    double* out, std::size_t n);
 PearsonMoments pearson_moments(const double* a, const double* b,
                                std::size_t n);
+double max_value(const double* x, std::size_t n);
+void divide(double* x, std::size_t n, double d);
+std::size_t census_plain(const double* x, std::size_t n, double prev,
+                         double zero_eps, CensusSums& acc);
+std::size_t count_clipped(const double* x, std::size_t n, double level);
 void soft_clip(double* x, std::size_t n, double drive, double peak,
                double scale);
 }  // namespace scalar

@@ -3,22 +3,30 @@
 // exactly like the scalar reference); entered only after cpuid confirms
 // both features.
 //
-// Lane discipline: the elementwise kernels (multiply, butterfly_stage,
-// fft_gather_stage2_4, fft_stages, complex_multiply_to, rfft_split_power,
-// rfft_split, irfft_merge, linear_interp, soft_clip) evaluate per-output
-// expressions with the same operations in the same order as the scalar
-// kernels — multiplication/addition operand swaps only where IEEE-754
-// results are bitwise unchanged — so they are bit-identical to scalar. The
-// reductions (dot, dot_reverse, pearson_moments) use 4-lane FMA
-// accumulators and differ from scalar by reassociation only.
+// Lane discipline: the elementwise kernels (multiply, divide,
+// butterfly_stage, fft_gather_stage2_4, fft_stages, windowed_power4,
+// complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
+// linear_interp, soft_clip) evaluate per-output expressions with the same
+// operations in the same order as the scalar kernels — multiplication/
+// addition operand swaps only where IEEE-754 results are bitwise unchanged
+// — so they are bit-identical to scalar. windowed_power4 holds one STFT
+// frame per lane and repeats, lane by lane, the operations this unit's
+// per-frame kernels perform. max_value, count_clipped and census_plain are
+// reductions whose result does not depend on the order: a max, a count,
+// and sums kept strictly left to right. The other reductions (dot,
+// dot_reverse, pearson_moments) use 4-lane FMA accumulators and differ from
+// scalar by reassociation only.
 #include "dsp/simd.hpp"
 
 #if VIBGUARD_SIMD_AVX2
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace vibguard::dsp::simd::avx2 {
 namespace {
@@ -189,6 +197,197 @@ void fft_gather_stage2_4(Complex* out, const double* src, std::size_t len,
   }
 }
 
+// One split-to-power bin in std::complex arithmetic: rfft_split_power's
+// last bin, which windowed_power4 computes per lane the same way.
+double split_power_bin(Complex zk, Complex zhk, Complex tw, double norm2) {
+  const Complex zc = std::conj(zhk);
+  const Complex even = 0.5 * (zk + zc);
+  const Complex odd = Complex(0.0, -0.5) * (zk - zc);
+  const Complex x = even + tw * odd;
+  return (x.real() * x.real() + x.imag() * x.imag()) * norm2;
+}
+
+// windowed_power4's lanes: complex element j of the four frames' packed
+// spectra is two vectors, the real parts at p[8j] and the imaginary parts
+// at p[8j + 4].
+struct LaneComplex {
+  __m256d re, im;
+};
+
+inline LaneComplex lane_load(const double* p, std::size_t j) {
+  return {_mm256_load_pd(p + 8 * j), _mm256_load_pd(p + 8 * j + 4)};
+}
+
+inline void lane_store(double* p, std::size_t j, LaneComplex v) {
+  _mm256_store_pd(p + 8 * j, v.re);
+  _mm256_store_pd(p + 8 * j + 4, v.im);
+}
+
+inline LaneComplex lane_add(LaneComplex a, LaneComplex b) {
+  return {_mm256_add_pd(a.re, b.re), _mm256_add_pd(a.im, b.im)};
+}
+
+inline LaneComplex lane_sub(LaneComplex a, LaneComplex b) {
+  return {_mm256_sub_pd(a.re, b.re), _mm256_sub_pd(a.im, b.im)};
+}
+
+// cmul(x, w) per lane, w broadcast from the twiddle table:
+//   re = xr*wr - xi*wi, im = xi*wr + xr*wi.
+inline LaneComplex lane_cmul(LaneComplex x, const Complex& w) {
+  const double* pw = reinterpret_cast<const double*>(&w);
+  const __m256d wr = _mm256_broadcast_sd(pw);
+  const __m256d wi = _mm256_broadcast_sd(pw + 1);
+  return {_mm256_sub_pd(_mm256_mul_pd(x.re, wr), _mm256_mul_pd(x.im, wi)),
+          _mm256_add_pd(_mm256_mul_pd(x.im, wr), _mm256_mul_pd(x.re, wi))};
+}
+
+void windowed_power4(const double* in, std::size_t hop, const double* window,
+                     const FrameTables& tables, double norm2, double* lanes,
+                     double* out) {
+  const std::size_t n = tables.n;
+  const std::size_t h = n / 2;
+  const std::size_t quarter = h / 4;
+  const __m256d neg = _mm256_set1_pd(-0.0);
+
+  // Pair p (samples 2p, 2p + 1) of the four frames, windowed as multiply
+  // does (sample * window) and transposed into lanes.
+  const auto load_pair = [&](std::size_t p) {
+    const double* s = in + 2 * p;
+    const __m256d w =
+        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(window + 2 * p));
+    const __m256d a = _mm256_mul_pd(
+        _mm256_set_m128d(_mm_loadu_pd(s + 2 * hop), _mm_loadu_pd(s)), w);
+    const __m256d b = _mm256_mul_pd(
+        _mm256_set_m128d(_mm_loadu_pd(s + 3 * hop), _mm_loadu_pd(s + hop)),
+        w);
+    return LaneComplex{_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b)};
+  };
+
+  // fft_gather_stage2_4 (forward): bit-reversed gather, len-2 and len-4
+  // butterflies; the -i twiddle is (x.im, -x.re).
+  for (std::size_t q = 0; q < quarter; ++q) {
+    const std::size_t r = tables.rev4[q];
+    const LaneComplex c0 = load_pair(r);
+    const LaneComplex c1 = load_pair(r + 2 * quarter);
+    const LaneComplex c2 = load_pair(r + quarter);
+    const LaneComplex c3 = load_pair(r + 3 * quarter);
+    const LaneComplex t0 = lane_add(c0, c1);
+    const LaneComplex t1 = lane_sub(c0, c1);
+    const LaneComplex v0 = lane_add(c2, c3);
+    const LaneComplex x = lane_sub(c2, c3);
+    const LaneComplex v1{x.im, _mm256_xor_pd(x.re, neg)};
+    lane_store(lanes, 4 * q, lane_add(t0, v0));
+    lane_store(lanes, 4 * q + 1, lane_add(t1, v1));
+    lane_store(lanes, 4 * q + 2, lane_sub(t0, v0));
+    lane_store(lanes, 4 * q + 3, lane_sub(t1, v1));
+  }
+
+  // fft_stages: the same radix-2^2 pairing, broadcast twiddles.
+  const Complex* tw = tables.tw;
+  std::size_t len = 8;
+  while (len <= h) {
+    const std::size_t half = len / 2;
+    if (2 * len <= h) {
+      const Complex* tw2 = tw + half;
+      for (std::size_t i = 0; i < h; i += 2 * len) {
+        for (std::size_t j = i; j < i + half; ++j) {
+          const LaneComplex alo = lane_load(lanes, j);
+          const LaneComplex ahi = lane_load(lanes, j + half);
+          const LaneComplex blo = lane_load(lanes, j + len);
+          const LaneComplex bhi = lane_load(lanes, j + len + half);
+          const LaneComplex va = lane_cmul(ahi, tw[j - i]);
+          const LaneComplex vb = lane_cmul(bhi, tw[j - i]);
+          const LaneComplex a0 = lane_add(alo, va);
+          const LaneComplex a1 = lane_sub(alo, va);
+          const LaneComplex b0 = lane_add(blo, vb);
+          const LaneComplex b1 = lane_sub(blo, vb);
+          const LaneComplex v0 = lane_cmul(b0, tw2[j - i]);
+          const LaneComplex v1 = lane_cmul(b1, tw2[j - i + half]);
+          lane_store(lanes, j, lane_add(a0, v0));
+          lane_store(lanes, j + len, lane_sub(a0, v0));
+          lane_store(lanes, j + half, lane_add(a1, v1));
+          lane_store(lanes, j + len + half, lane_sub(a1, v1));
+        }
+      }
+      tw += half + len;
+      len <<= 2;
+    } else {
+      for (std::size_t i = 0; i < h; i += len) {
+        for (std::size_t j = i; j < i + half; ++j) {
+          const LaneComplex lo = lane_load(lanes, j);
+          const LaneComplex v = lane_cmul(lane_load(lanes, j + half), tw[j - i]);
+          lane_store(lanes, j, lane_add(lo, v));
+          lane_store(lanes, j + half, lane_sub(lo, v));
+        }
+      }
+      tw += half;
+      len <<= 1;
+    }
+  }
+
+  // Split to power, as rfft_split_power and the plan's bins 0 and h do it.
+  const __m256d n2 = _mm256_set1_pd(norm2);
+  const __m256d halfv = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d mhalf = _mm256_set1_pd(-0.5);
+  const LaneComplex z0 = lane_load(lanes, 0);
+  const auto bin = [&](std::size_t k) {
+    const LaneComplex zk = lane_load(lanes, k);
+    const LaneComplex zh = lane_load(lanes, h - k);
+    const LaneComplex zc{zh.re, _mm256_xor_pd(zh.im, neg)};
+    const LaneComplex sum = lane_add(zk, zc);
+    const LaneComplex even{_mm256_mul_pd(halfv, sum.re),
+                           _mm256_mul_pd(halfv, sum.im)};
+    const LaneComplex d = lane_sub(zk, zc);
+    // cmul(d, (0, -0.5)), products by zero included.
+    const LaneComplex odd{
+        _mm256_sub_pd(_mm256_mul_pd(d.re, zero), _mm256_mul_pd(d.im, mhalf)),
+        _mm256_add_pd(_mm256_mul_pd(d.im, zero), _mm256_mul_pd(d.re, mhalf))};
+    const LaneComplex x = lane_add(even, lane_cmul(odd, tables.rtw[k]));
+    return _mm256_mul_pd(
+        _mm256_add_pd(_mm256_mul_pd(x.re, x.re), _mm256_mul_pd(x.im, x.im)),
+        n2);
+  };
+  const auto edge = [&](__m256d x) {  // bins 0 and h from z[0]
+    return _mm256_mul_pd(_mm256_mul_pd(x, x), n2);
+  };
+  const auto last = [&] {  // bin h - 1, rfft_split_power's scalar tail
+    alignas(32) double zr[4], zi[4], hr[4], hi[4], p[4];
+    _mm256_store_pd(zr, _mm256_load_pd(lanes + 8 * (h - 1)));
+    _mm256_store_pd(zi, _mm256_load_pd(lanes + 8 * (h - 1) + 4));
+    _mm256_store_pd(hr, _mm256_load_pd(lanes + 8));
+    _mm256_store_pd(hi, _mm256_load_pd(lanes + 12));
+    for (std::size_t l = 0; l < 4; ++l) {
+      p[l] = split_power_bin(Complex(zr[l], zi[l]), Complex(hr[l], hi[l]),
+                             tables.rtw[h - 1], norm2);
+    }
+    return _mm256_load_pd(p);
+  };
+  // Bins 0..h-1 in blocks of four, transposed from lanes (frames) to rows.
+  const std::size_t stride = h + 1;
+  for (std::size_t k = 0; k < h; k += 4) {
+    __m256d p[4];
+    for (std::size_t m = 0; m < 4; ++m) {
+      const std::size_t b = k + m;
+      p[m] = b == 0 ? edge(_mm256_add_pd(z0.re, z0.im))
+                    : (b == h - 1 ? last() : bin(b));
+    }
+    const __m256d t0 = _mm256_unpacklo_pd(p[0], p[1]);
+    const __m256d t1 = _mm256_unpackhi_pd(p[0], p[1]);
+    const __m256d t2 = _mm256_unpacklo_pd(p[2], p[3]);
+    const __m256d t3 = _mm256_unpackhi_pd(p[2], p[3]);
+    _mm256_storeu_pd(out + k, _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd(out + stride + k, _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd(out + 2 * stride + k,
+                     _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd(out + 3 * stride + k,
+                     _mm256_permute2f128_pd(t1, t3, 0x31));
+  }
+  alignas(32) double ph[4];
+  _mm256_store_pd(ph, edge(_mm256_sub_pd(z0.re, z0.im)));
+  for (std::size_t l = 0; l < 4; ++l) out[l * stride + h] = ph[l];
+}
+
 void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n) {
   double* po = reinterpret_cast<double*>(out);
@@ -252,14 +451,7 @@ void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
     out[k] = _mm256_cvtsd_f64(p);
     out[k + 1] = _mm_cvtsd_f64(_mm256_extractf128_pd(p, 1));
   }
-  for (; k < h; ++k) {
-    const Complex zk = z[k];
-    const Complex zc = std::conj(z[h - k]);
-    const Complex even = 0.5 * (zk + zc);
-    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
-    const Complex x = even + rtw[k] * odd;
-    out[k] = (x.real() * x.real() + x.imag() * x.imag()) * norm2;
-  }
+  for (; k < h; ++k) out[k] = split_power_bin(z[k], z[h - k], rtw[k], norm2);
 }
 
 void rfft_split(const Complex* z, const Complex* rtw, std::size_t h,
@@ -440,6 +632,106 @@ PearsonMoments pearson_moments(const double* a, const double* b,
   return m;
 }
 
+double max_value(const double* x, std::size_t n) {
+  // maxpd(v, best) is v > best ? v : best, which is std::max(best, v); the
+  // fold's result (largest positive value, else +0.0) does not depend on
+  // the order, so four accumulators of four lanes each give its bits.
+  __m256d b0 = _mm256_setzero_pd(), b1 = b0, b2 = b0, b3 = b0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    b0 = _mm256_max_pd(_mm256_loadu_pd(x + i), b0);
+    b1 = _mm256_max_pd(_mm256_loadu_pd(x + i + 4), b1);
+    b2 = _mm256_max_pd(_mm256_loadu_pd(x + i + 8), b2);
+    b3 = _mm256_max_pd(_mm256_loadu_pd(x + i + 12), b3);
+  }
+  for (; i + 4 <= n; i += 4) b0 = _mm256_max_pd(_mm256_loadu_pd(x + i), b0);
+  b0 = _mm256_max_pd(_mm256_max_pd(b2, b0), _mm256_max_pd(b3, b1));
+  __m128d m = _mm_max_pd(_mm256_extractf128_pd(b0, 1),
+                         _mm256_castpd256_pd128(b0));
+  m = _mm_max_sd(_mm_unpackhi_pd(m, m), m);
+  double best = _mm_cvtsd_f64(m);
+  for (; i < n; ++i) best = std::max(best, x[i]);
+  return best;
+}
+
+void divide(double* x, std::size_t n, double d) {
+  const __m256d vd = _mm256_set1_pd(d);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_loadu_pd(x + i), vd));
+  }
+  for (; i < n; ++i) x[i] /= d;
+}
+
+std::size_t census_plain(const double* x, std::size_t n, double prev,
+                         double zero_eps, CensusSums& acc) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d eps = _mm256_set1_pd(zero_eps);
+  const __m256d big = _mm256_set1_pd(std::numeric_limits<double>::max());
+  __m256d peak = _mm256_set1_pd(acc.peak);
+  __m128d sum = _mm_set_sd(acc.sum);
+  __m128d sum_sq = _mm_set_sd(acc.sum_sq);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    const __m256d before = i == 0 ? _mm256_set_pd(x[2], x[1], x[0], prev)
+                                  : _mm256_loadu_pd(x + i - 1);
+    const __m256d a = _mm256_andnot_pd(sign, v);
+    // Plain: eps < |x| <= max (finite, not a zero) and x != the one before.
+    const __m256d plain = _mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(a, eps, _CMP_GT_OQ),
+                      _mm256_cmp_pd(a, big, _CMP_LE_OQ)),
+        _mm256_cmp_pd(v, before, _CMP_NEQ_UQ));
+    if (_mm256_movemask_pd(plain) != 0xF) break;
+    peak = _mm256_max_pd(a, peak);
+    // The sums, one sample at a time in sample order.
+    const __m256d sq = _mm256_mul_pd(v, v);
+    const __m128d vlo = _mm256_castpd256_pd128(v);
+    const __m128d vhi = _mm256_extractf128_pd(v, 1);
+    const __m128d slo = _mm256_castpd256_pd128(sq);
+    const __m128d shi = _mm256_extractf128_pd(sq, 1);
+    sum = _mm_add_sd(sum, vlo);
+    sum_sq = _mm_add_sd(sum_sq, slo);
+    sum = _mm_add_sd(sum, _mm_unpackhi_pd(vlo, vlo));
+    sum_sq = _mm_add_sd(sum_sq, _mm_unpackhi_pd(slo, slo));
+    sum = _mm_add_sd(sum, vhi);
+    sum_sq = _mm_add_sd(sum_sq, shi);
+    sum = _mm_add_sd(sum, _mm_unpackhi_pd(vhi, vhi));
+    sum_sq = _mm_add_sd(sum_sq, _mm_unpackhi_pd(shi, shi));
+  }
+  if (i > 0) {
+    const __m128d m = _mm_max_pd(_mm256_extractf128_pd(peak, 1),
+                                 _mm256_castpd256_pd128(peak));
+    acc.peak = _mm_cvtsd_f64(_mm_max_sd(_mm_unpackhi_pd(m, m), m));
+    acc.sum = _mm_cvtsd_f64(sum);
+    acc.sum_sq = _mm_cvtsd_f64(sum_sq);
+  }
+  return i;
+}
+
+std::size_t count_clipped(const double* x, std::size_t n, double level) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d lv = _mm256_set1_pd(level);
+  const __m256d big = _mm256_set1_pd(std::numeric_limits<double>::max());
+  // Each compare mask lane is all ones (-1 as an integer) where counted.
+  __m256i count = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_andnot_pd(sign, _mm256_loadu_pd(x + i));
+    const __m256d hit = _mm256_and_pd(_mm256_cmp_pd(a, lv, _CMP_GE_OQ),
+                                      _mm256_cmp_pd(a, big, _CMP_LE_OQ));
+    count = _mm256_sub_epi64(count, _mm256_castpd_si256(hit));
+  }
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), count);
+  auto clipped =
+      static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  for (; i < n; ++i) {
+    if (std::isfinite(x[i]) && std::abs(x[i]) >= level) ++clipped;
+  }
+  return clipped;
+}
+
 // detail::tanh_approx on four lanes: the scalar kernel's operations in the
 // scalar kernel's order (min_pd(clamp, a) keeps a NaN lane, as the scalar
 // ternary does).
@@ -501,6 +793,7 @@ const Ops kOps = {
     .butterfly_stage = &butterfly_stage,
     .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
+    .windowed_power4 = &windowed_power4,
     .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
     .rfft_split = &rfft_split,
@@ -509,6 +802,10 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &linear_interp,
     .pearson_moments = &pearson_moments,
+    .max_value = &max_value,
+    .divide = &divide,
+    .census_plain = &census_plain,
+    .count_clipped = &count_clipped,
     .soft_clip = &soft_clip,
 };
 

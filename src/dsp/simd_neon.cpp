@@ -100,6 +100,7 @@ const Ops kOps = {
     .butterfly_stage = &scalar::butterfly_stage,
     .fft_gather_stage2_4 = &scalar::fft_gather_stage2_4,
     .fft_stages = &scalar::fft_stages,
+    .windowed_power4 = &scalar::windowed_power4,
     .complex_multiply_to = &scalar::complex_multiply_to,
     .rfft_split_power = &scalar::rfft_split_power,
     .rfft_split = &scalar::rfft_split,
@@ -108,6 +109,10 @@ const Ops kOps = {
     .dot_reverse = &dot_reverse,
     .linear_interp = &scalar::linear_interp,
     .pearson_moments = &pearson_moments,
+    .max_value = &scalar::max_value,
+    .divide = &scalar::divide,
+    .census_plain = &scalar::census_plain,
+    .count_clipped = &scalar::count_clipped,
     .soft_clip = &scalar::soft_clip,
 };
 

@@ -31,15 +31,13 @@ double Spectrogram::at(std::size_t frame, std::size_t bin) const {
 }
 
 double Spectrogram::max_value() const {
-  double best = 0.0;
-  for (double v : data_) best = std::max(best, v);
-  return best;
+  return simd::ops().max_value(data_.data(), data_.size());
 }
 
 void Spectrogram::normalize_by_max() {
   const double m = max_value();
   if (m <= 0.0) return;
-  for (double& v : data_) v /= m;
+  simd::ops().divide(data_.data(), data_.size(), m);
 }
 
 Spectrogram Spectrogram::crop_low_frequencies(double cutoff_hz) const {
@@ -141,14 +139,11 @@ void stft_power_into(const Signal& signal, std::size_t window_size,
               static_cast<double>(hop) / rate);
 
   // One plan and one window for the whole signal; each frame's windowing,
-  // transform and squaring run fused, writing straight through the
-  // unchecked row pointer.
+  // transform and squaring run fused, four frames at a time where the plan
+  // can, writing straight into the rows.
   const auto& win = cached_window(window, window_size);
-  const FftPlan& plan = get_plan(window_size);
-  for (std::size_t f = 0; f < frames; ++f) {
-    plan.windowed_power(samples + f * hop, win.data(),
-                        std::span<double>(out.row(f), bins));
-  }
+  get_plan(window_size)
+      .windowed_power_frames(samples, hop, frames, win.data(), out.row(0));
 }
 
 double correlation_2d(const Spectrogram& a, const Spectrogram& b) {

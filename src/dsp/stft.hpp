@@ -1,7 +1,15 @@
 // Short-time Fourier transform and the Spectrogram container.
 //
 // The paper's vibration-domain features are power spectrograms computed with
-// a 64-point window / 64-point FFT on 200 Hz accelerometer data (Sec. VI-B).
+// a 64-point window / 64-point FFT on 200 Hz accelerometer data (Sec. VI-B);
+// the audio-domain baseline uses 512/128 on the 16 kHz channels.
+//
+// stft_power_into runs power-of-two windows of at least 8 points four
+// frames at a time (FftPlan::windowed_power_frames, one frame per AVX2
+// lane), each lane repeating the per-frame kernel's operations, so every
+// row is bit-identical to FftPlan::windowed_power of its frame at every
+// dispatch level. max_value and normalize_by_max run a vector max, whose
+// result does not depend on the order, and a vector IEEE divide.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +50,8 @@ class Spectrogram {
   std::span<const double> values() const { return data_; }
   std::span<double> values() { return data_; }
 
-  /// Largest cell value; 0 for an empty spectrogram.
+  /// std::max folded over the cells from +0.0: the largest positive cell,
+  /// else +0.0 (NaN cells never win; 0 for an empty spectrogram).
   double max_value() const;
 
   /// Divides all cells by the maximum value (no-op if max <= 0). This is the

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/generate.hpp"
+#include "dsp/simd.hpp"
 
 namespace vibguard::dsp {
 namespace {
@@ -36,6 +43,57 @@ TEST(SpectrogramTest, NormalizeAllZerosIsNoop) {
   Spectrogram s(2, 2, 1.0, 0.1);
   s.normalize_by_max();
   EXPECT_DOUBLE_EQ(s.max_value(), 0.0);
+}
+
+// max_value/normalize_by_max run through the dispatched vector max and
+// divide; at every level they must give the bits of the scalar fold
+// std::max(best, v) from +0.0 and of v / max, NaN cells, zeros of either
+// sign and all-negative grids included.
+TEST(SpectrogramTest, NormalizeMatchesScalarFoldAtEveryLevel) {
+  const simd::Level entry_level = simd::active_level();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(31);
+  for (const std::size_t cells : {0, 1, 3, 4, 5, 15, 16, 17, 63, 257}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      // 0: positive with NaN cells, 1: all zeros (+0.0 and -0.0),
+      // 2: all negative, 3: NaN first, then mixed signs.
+      Spectrogram grid(1, cells, 1.0, 0.1);
+      for (std::size_t i = 0; i < cells; ++i) {
+        double v = rng.uniform(0.0, 10.0);
+        if (kind == 0 && i % 5 == 2) v = nan;
+        if (kind == 1) v = i % 2 == 0 ? 0.0 : -0.0;
+        if (kind == 2) v = -v - 1.0;
+        if (kind == 3) v = i == 0 ? nan : v - 5.0;
+        grid.values()[i] = v;
+      }
+      double want_max = 0.0;
+      for (double v : grid.values()) want_max = std::max(want_max, v);
+      std::vector<double> want(grid.values().begin(), grid.values().end());
+      if (want_max > 0.0) {
+        for (double& v : want) v /= want_max;
+      }
+      for (simd::Level level : simd::available_levels()) {
+        SCOPED_TRACE(std::string(simd::level_name(level)) + " cells " +
+                     std::to_string(cells) + " kind " + std::to_string(kind));
+        ASSERT_TRUE(simd::set_level(level));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(grid.max_value()),
+                  std::bit_cast<std::uint64_t>(want_max));
+        Spectrogram normalized = grid;
+        normalized.normalize_by_max();
+        for (std::size_t i = 0; i < cells; ++i) {
+          const double got = normalized.values()[i];
+          if (std::isnan(want[i])) {
+            EXPECT_TRUE(std::isnan(got)) << "cell " << i;
+          } else {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "cell " << i;
+          }
+        }
+      }
+    }
+  }
+  simd::set_level(entry_level);
 }
 
 TEST(SpectrogramTest, MeanOverTime) {

@@ -13,15 +13,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <numbers>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "attacks/attack.hpp"
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 #include "common/wav.hpp"
+#include "core/quality.hpp"
 #include "core/segmentation.hpp"
 #include "core/streaming.hpp"
 #include "dsp/correlate.hpp"
@@ -32,6 +36,7 @@
 #include "dsp/resample.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/stft.hpp"
+#include "dsp/window.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
 #include "eval/scenario.hpp"
@@ -40,6 +45,7 @@
 #include "reference/reference_dsp.hpp"
 #include "reference/reference_fft.hpp"
 #include "reference/reference_metrics.hpp"
+#include "reference/reference_quality.hpp"
 
 namespace vibguard {
 namespace {
@@ -180,11 +186,17 @@ TEST(FuzzDifferential, IrfftRoundTripsAndMatchesNaiveDft) {
 
 // Exact equality down to the sign of zero: one failure per call, naming
 // the first differing element and how many differ.
+// `any_nan_equal` makes every NaN equal to every other: which NaN an
+// operation returns when both operands are NaN is the hardware's choice of
+// operand, and compilers may commute an add or a multiply, so a NaN's sign
+// and payload are not part of the bit-identity contract.
 void expect_same_bits(std::span<const double> got,
-                      std::span<const double> want, const std::string& what) {
+                      std::span<const double> want, const std::string& what,
+                      bool any_nan_equal = false) {
   ASSERT_EQ(got.size(), want.size()) << what;
   std::size_t first = got.size(), count = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
+    if (any_nan_equal && std::isnan(got[i]) && std::isnan(want[i])) continue;
     if (std::bit_cast<std::uint64_t>(got[i]) !=
         std::bit_cast<std::uint64_t>(want[i])) {
       if (count++ == 0) first = i;
@@ -214,6 +226,25 @@ std::vector<double> signed_zero_vector(Rng& rng, std::size_t n) {
   auto out = random_vector(rng, n, -1.0, 1.0);
   for (double& v : out) {
     if (rng.bernoulli(1.0 / 16.0)) v = -0.0;
+  }
+  return out;
+}
+
+// Random samples in [-1, 1) with each one replaced, with probability p, by
+// a special value: NaN, +inf, -inf, +0.0, -0.0 or a subnormal.
+std::vector<double> special_vector(Rng& rng, std::size_t n, double p) {
+  constexpr double kSpecials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -3.0 * std::numeric_limits<double>::denorm_min(),
+      0.5 * std::numeric_limits<double>::min()};
+  auto out = random_vector(rng, n, -1.0, 1.0);
+  for (double& v : out) {
+    if (rng.bernoulli(p)) v = kSpecials[rng.uniform_int(0, 7)];
   }
   return out;
 }
@@ -359,7 +390,9 @@ TEST(FuzzDifferential, GainCurveMatchesNaiveZeroPhaseFilter) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(got[i], want[i], 1e-10) << "sample " << i;
     }
-    if (n == 1) EXPECT_EQ(got[0], gain(0.0) * in[0]);
+    if (n == 1) {
+      EXPECT_EQ(got[0], gain(0.0) * in[0]);
+    }
 
     // The table overload, fed the curve sampled on the same grid, is
     // bit-identical — in place, too.
@@ -410,6 +443,177 @@ TEST(FuzzDifferential, PlannedStftPowerMatchesNaive) {
       }
     }
   }
+}
+
+// stft_power_into runs power-of-two windows four frames at a time (one
+// frame per AVX2 lane); every row must equal FftPlan::windowed_power of its
+// frame bit for bit, at every level, special values included.
+TEST(FuzzDifferential, StftLanesMatchPerFrameWindowedPower) {
+  const auto levels = dsp::simd::available_levels();
+  const dsp::simd::Level entry_level = dsp::simd::active_level();
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  constexpr dsp::WindowType kWindows[] = {
+      dsp::WindowType::kRectangular, dsp::WindowType::kHann,
+      dsp::WindowType::kHamming, dsp::WindowType::kBlackman};
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    // Mostly powers of two from 8 to 2048 (the lane path); one in four
+    // any size in that range (the per-frame path).
+    const std::size_t ws =
+        it % 4 == 3
+            ? static_cast<std::size_t>(rng.uniform_int(8, 2048))
+            : std::size_t{1} << rng.uniform_int(3, 11);
+    const std::size_t hops[] = {1, 3, 16, 128, ws, ws + 1};
+    const std::size_t hop = hops[rng.uniform_int(0, 5)];
+    // 0-9 frames, or 4k + {0..3} for k up to 12.
+    const std::size_t frames =
+        rng.bernoulli(0.5)
+            ? static_cast<std::size_t>(rng.uniform_int(0, 9))
+            : static_cast<std::size_t>(4 * rng.uniform_int(3, 12) +
+                                       rng.uniform_int(0, 3));
+    const auto type = kWindows[rng.uniform_int(0, 3)];
+    const std::size_t len = frames == 0 ? 0 : ws + (frames - 1) * hop;
+    // Half the trials clean, the rest with special values sprinkled in.
+    const double p = it % 2 == 0 ? 0.0 : rng.uniform(0.0005, 0.02);
+    const Signal sig(special_vector(rng, len, p), 16000.0);
+    SCOPED_TRACE("window " + std::to_string(ws) + " hop " +
+                 std::to_string(hop) + " frames " + std::to_string(frames));
+
+    for (dsp::simd::Level level : levels) {
+      SCOPED_TRACE(dsp::simd::level_name(level));
+      ASSERT_TRUE(dsp::simd::set_level(level));
+      dsp::Spectrogram got;
+      dsp::stft_power_into(sig, ws, hop, got, type);
+      ASSERT_EQ(got.frames(), frames);
+      const std::size_t bins = ws / 2 + 1;
+      std::vector<double> want(frames * bins);
+      const dsp::FftPlan& plan = dsp::get_plan(ws);
+      const auto& win = dsp::cached_window(type, ws);
+      for (std::size_t f = 0; f < frames; ++f) {
+        plan.windowed_power(sig.samples().data() + f * hop, win.data(),
+                            std::span<double>(want.data() + f * bins, bins));
+      }
+      expect_same_bits(got.values(), want, "stft rows",
+                       /*any_nan_equal=*/true);
+    }
+    dsp::simd::set_level(entry_level);
+  }
+  dsp::simd::set_level(entry_level);
+}
+
+void expect_same_quality(const core::ChannelQuality& got,
+                         const core::ChannelQuality& want,
+                         const std::string& what) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(got.samples, want.samples) << what;
+  EXPECT_EQ(bits(got.duration_s), bits(want.duration_s)) << what;
+  EXPECT_EQ(bits(got.rms), bits(want.rms)) << what;
+  EXPECT_EQ(bits(got.peak), bits(want.peak)) << what;
+  EXPECT_EQ(bits(got.dc_offset), bits(want.dc_offset)) << what;
+  EXPECT_EQ(bits(got.clip_ratio), bits(want.clip_ratio)) << what;
+  EXPECT_EQ(bits(got.gap_ratio), bits(want.gap_ratio)) << what;
+  EXPECT_EQ(bits(got.longest_gap_s), bits(want.longest_gap_s)) << what;
+  EXPECT_EQ(bits(got.stuck_ratio), bits(want.stuck_ratio)) << what;
+  EXPECT_EQ(got.non_finite, want.non_finite) << what;
+  EXPECT_EQ(got.issues, want.issues) << what;
+}
+
+// The census's block scan against the frozen per-sample walk: zero runs
+// one shorter than, as long as and one longer than a gap, runs of equal
+// samples, non-finite, tiny and subnormal samples planted at every lane
+// offset, fed whole and in chunks of 1 to 9 samples, at every level.
+TEST(FuzzDifferential, QualityCensusMatchesScalarReference) {
+  const auto levels = dsp::simd::available_levels();
+  const dsp::simd::Level entry_level = dsp::simd::active_level();
+  const std::size_t iters = testing::fuzz_iterations();
+  const std::uint64_t base = testing::fuzz_base_seed();
+  for (std::size_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base + it;
+    SCOPED_TRACE(testing::seed_note(seed));
+    Rng rng(seed);
+    core::QualityConfig cfg;
+    const double rate = 1000.0;
+    cfg.min_gap_s = static_cast<double>(rng.uniform_int(1, 12)) / rate;
+    cfg.max_gap_ratio = rng.uniform(0.0, 0.3);
+    cfg.max_stuck_ratio = rng.uniform(0.0, 0.1);
+    cfg.max_clip_ratio = rng.uniform(0.0, 0.05);
+    const std::size_t min_gap = core::min_gap_samples(cfg, rate);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 700));
+    std::vector<double> x = random_vector(rng, n, -1.0, 1.0);
+    // Plant `count` copies of `value` at a block of four's lane `lane`.
+    const auto plant = [&](std::size_t count, double value, std::size_t lane) {
+      if (n < count + 4) return;
+      auto at = static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>((n - count - 4) / 4))) *
+                    4 +
+                lane;
+      for (std::size_t k = 0; k < count; ++k) x[at + k] = value;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {nan, inf, -inf, 0.0, -0.0, 5e-10, -1e-9,
+                               std::numeric_limits<double>::denorm_min()};
+    const auto events = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    for (std::size_t e = 0; e < events; ++e) {
+      const std::size_t lane = (it + e) % 4;
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // a zero run around the gap length
+          plant(min_gap - 1 + static_cast<std::size_t>(rng.uniform_int(0, 2)),
+                rng.bernoulli(0.5) ? 0.0 : -2e-10, lane);
+          break;
+        case 1:  // a run of equal samples (a stuck sensor)
+          plant(static_cast<std::size_t>(rng.uniform_int(2, 9)),
+                rng.uniform(-1.0, 1.0), lane);
+          break;
+        case 2:  // one special sample
+          plant(1, specials[rng.uniform_int(0, 7)], lane);
+          break;
+        default:  // a sample at the rail (clipping census)
+          plant(1, rng.bernoulli(0.5) ? 1.0 : -1.0, lane);
+          break;
+      }
+    }
+    const Signal sig(x, rate);
+    const core::ChannelQuality want =
+        testing::reference_assess_channel(sig, cfg);
+    core::StreamingCensus want_state;
+    testing::reference_census_update(want_state, x, min_gap);
+
+    for (dsp::simd::Level level : levels) {
+      SCOPED_TRACE(dsp::simd::level_name(level));
+      ASSERT_TRUE(dsp::simd::set_level(level));
+      expect_same_quality(core::assess_channel(sig, cfg), want, "whole");
+      for (std::size_t chunk = 1; chunk <= 9; ++chunk) {
+        const std::string what = "chunk " + std::to_string(chunk);
+        core::StreamingCensus census;
+        for (std::size_t off = 0; off < n; off += chunk) {
+          census.update(std::span<const double>(x).subspan(
+                            off, std::min(chunk, n - off)),
+                        min_gap);
+        }
+        expect_same_quality(census.finalize(sig, cfg), want, what);
+        const auto bits = [](double v) {
+          return std::bit_cast<std::uint64_t>(v);
+        };
+        EXPECT_EQ(bits(census.sum), bits(want_state.sum)) << what;
+        EXPECT_EQ(bits(census.sum_sq), bits(want_state.sum_sq)) << what;
+        EXPECT_EQ(bits(census.peak), bits(want_state.peak)) << what;
+        EXPECT_EQ(census.finite_count, want_state.finite_count) << what;
+        EXPECT_EQ(census.total, want_state.total) << what;
+        EXPECT_EQ(census.zero_run, want_state.zero_run) << what;
+        EXPECT_EQ(census.gap_samples, want_state.gap_samples) << what;
+        EXPECT_EQ(census.longest_gap, want_state.longest_gap) << what;
+        EXPECT_EQ(census.const_run, want_state.const_run) << what;
+        EXPECT_EQ(census.longest_const, want_state.longest_const) << what;
+        EXPECT_EQ(census.have_prev, want_state.have_prev) << what;
+      }
+    }
+    dsp::simd::set_level(entry_level);
+  }
+  dsp::simd::set_level(entry_level);
 }
 
 TEST(FuzzDifferential, Correlation2dMatchesScalarPearson) {
@@ -788,6 +992,50 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       rev4[q] = (rev4[q >> 1] >> 1) |
                 ((q & 1) != 0 ? static_cast<std::uint32_t>(gather_n / 8) : 0);
     }
+    // The four-frame STFT kernel on its own, any power of two from 8 to
+    // 1024 and any hop, reading the plan's own tables (which are the same
+    // at every level).
+    const std::size_t frame_n = std::size_t{1} << rng.uniform_int(3, 10);
+    const auto frame_hop = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(frame_n) + 1));
+    const auto frame_in =
+        random_vector(rng, frame_n + 3 * frame_hop, -1.0, 1.0);
+    const auto frame_win = random_vector(rng, frame_n, 0.0, 1.0);
+    const std::size_t frame_h = frame_n / 2;
+    std::vector<std::uint32_t> frame_rev4(frame_h / 4, 0);
+    for (std::size_t q = 1; q < frame_rev4.size(); ++q) {
+      frame_rev4[q] =
+          (frame_rev4[q >> 1] >> 1) |
+          ((q & 1) != 0 ? static_cast<std::uint32_t>(frame_h / 8) : 0);
+    }
+    const auto root = [](std::size_t j, std::size_t len) {
+      return std::polar(1.0, -2.0 * std::numbers::pi *
+                                 static_cast<double>(j) /
+                                 static_cast<double>(len));
+    };
+    std::vector<dsp::Complex> frame_tw, frame_rtw;
+    for (std::size_t len = 8; len <= frame_h; len <<= 1) {
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        frame_tw.push_back(root(j, len));
+      }
+    }
+    for (std::size_t k = 0; k <= frame_h; ++k) {
+      frame_rtw.push_back(root(k, frame_n));
+    }
+    const dsp::simd::FrameTables frame_tables{
+        frame_n, frame_rev4.data(), frame_tw.data(), frame_rtw.data()};
+    const double frame_norm2 = 1.0 / static_cast<double>(frame_n * frame_n);
+    AlignedVector<double> frame_lanes(4 * frame_n);
+    // Spectrogram max/divide and the census kernels on samples with
+    // special values mixed in.
+    const auto norm_in = special_vector(
+        rng, static_cast<std::size_t>(rng.uniform_int(0, 300)), 0.05);
+    const double norm_div = rng.uniform(0.01, 4.0);
+    const auto census_in = special_vector(
+        rng, static_cast<std::size_t>(rng.uniform_int(0, 300)),
+        rng.uniform(0.0, 0.02));
+    const double census_prev = rng.uniform(-1.0, 1.0);
+    const double clip_level = rng.uniform(0.0, 1.0);
 
     // Scalar pass: the reference every other level is held to.
     ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
@@ -807,6 +1055,20 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     std::vector<double> clip_ref = clip_in;
     dsp::simd::ops().soft_clip(clip_ref.data(), clip_ref.size(), clip_drive,
                                clip_peak, clip_scale);
+    std::vector<double> frame_ref(4 * (frame_h + 1));
+    dsp::simd::ops().windowed_power4(frame_in.data(), frame_hop,
+                                     frame_win.data(), frame_tables,
+                                     frame_norm2, frame_lanes.data(),
+                                     frame_ref.data());
+    const double max_ref =
+        dsp::simd::ops().max_value(norm_in.data(), norm_in.size());
+    std::vector<double> div_ref = norm_in;
+    dsp::simd::ops().divide(div_ref.data(), div_ref.size(), norm_div);
+    dsp::simd::CensusSums census_ref;
+    const std::size_t census_ref_n = dsp::simd::ops().census_plain(
+        census_in.data(), census_in.size(), census_prev, 1e-9, census_ref);
+    const std::size_t clipped_ref = dsp::simd::ops().count_clipped(
+        census_in.data(), census_in.size(), clip_level);
 
     for (dsp::simd::Level level : levels) {
       if (level == dsp::simd::Level::kScalar) continue;
@@ -853,6 +1115,35 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       for (std::size_t i = 0; i < clip_got.size(); ++i) {
         EXPECT_EQ(clip_got[i], clip_ref[i]) << "soft clip sample " << i;
       }
+      std::vector<double> frame_got(frame_ref.size());
+      dsp::simd::ops().windowed_power4(frame_in.data(), frame_hop,
+                                       frame_win.data(), frame_tables,
+                                       frame_norm2, frame_lanes.data(),
+                                       frame_got.data());
+      expect_same_bits(frame_got, frame_ref,
+                       "windowed_power4 n " + std::to_string(frame_n) +
+                           " hop " + std::to_string(frame_hop));
+      // Order-free reductions: bit-identical too.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dsp::simd::ops().max_value(
+                    norm_in.data(), norm_in.size())),
+                std::bit_cast<std::uint64_t>(max_ref));
+      std::vector<double> div_got = norm_in;
+      dsp::simd::ops().divide(div_got.data(), div_got.size(), norm_div);
+      expect_same_bits(div_got, div_ref, "divide", /*any_nan_equal=*/true);
+      dsp::simd::CensusSums census_got;
+      EXPECT_EQ(dsp::simd::ops().census_plain(census_in.data(),
+                                              census_in.size(), census_prev,
+                                              1e-9, census_got),
+                census_ref_n);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(census_got.sum),
+                std::bit_cast<std::uint64_t>(census_ref.sum));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(census_got.sum_sq),
+                std::bit_cast<std::uint64_t>(census_ref.sum_sq));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(census_got.peak),
+                std::bit_cast<std::uint64_t>(census_ref.peak));
+      EXPECT_EQ(dsp::simd::ops().count_clipped(census_in.data(),
+                                               census_in.size(), clip_level),
+                clipped_ref);
 
       // Reduction-kernel pipelines: ULP-scaled tolerance.
       const Signal rs_got = dsp::resample(rs_sig, rs_target);
