@@ -27,40 +27,17 @@
 namespace vibguard {
 namespace {
 
-void BM_FftPow2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<dsp::Complex> buf(n);
-  for (auto& v : buf) v = dsp::Complex(rng.gaussian(), 0.0);
-  for (auto _ : state) {
-    auto copy = buf;
-    dsp::fft_pow2(copy, false);
-    benchmark::DoNotOptimize(copy);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_FftPow2)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_FftBluestein(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<dsp::Complex> buf(n);
-  for (auto& v : buf) v = dsp::Complex(rng.gaussian(), 0.0);
-  for (auto _ : state) {
-    auto out = dsp::fft(buf);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(6300);
-
 void BM_Rfft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
   std::vector<double> buf(n);
   for (auto& v : buf) v = rng.gaussian();
+  const dsp::FftPlan& plan = dsp::get_plan(n);
+  std::vector<dsp::Complex> spec(n / 2 + 1);
   for (auto _ : state) {
-    auto spec = dsp::rfft(buf);
-    benchmark::DoNotOptimize(spec);
+    plan.rfft(buf, spec);
+    benchmark::DoNotOptimize(spec.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }

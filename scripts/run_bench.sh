@@ -23,7 +23,7 @@ OUT_JSON="${2:-${REPO_ROOT}/BENCH_microbench.json}"
 # quality and audio_features stages.
 # BENCH_REPS=N repeats each benchmark N times; the merged file keeps the
 # median repetition.
-FILTER="${BENCH_FILTER:-BM_FftPow2|BM_FftBluestein|BM_Rfft|BM_Irfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_SyncEstimate|BM_CrossDomainCapture|BM_SpeakerRender|BM_AccelerometerCapture|BM_QualityAssessPair|BM_AudioFeatures|BM_FullPipelineScore|BM_StreamingScore|BM_ShardSteal}"
+FILTER="${BENCH_FILTER:-BM_Rfft|BM_Irfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_SyncEstimate|BM_CrossDomainCapture|BM_SpeakerRender|BM_AccelerometerCapture|BM_QualityAssessPair|BM_AudioFeatures|BM_FullPipelineScore|BM_StreamingScore|BM_ShardSteal}"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release \

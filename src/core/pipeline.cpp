@@ -5,6 +5,7 @@
 
 #include "common/alloc_counter.hpp"
 #include "common/error.hpp"
+#include "dsp/fft.hpp"
 
 namespace vibguard::core {
 
@@ -32,7 +33,12 @@ DefenseSystem::DefenseSystem(DefenseConfig config)
       wearable_(config_.wearable),
       sync_(config_.sync),
       extractor_(config_.features),
-      detector_(config_.detection_threshold) {}
+      detector_(config_.detection_threshold) {
+  VIBGUARD_REQUIRE(
+      dsp::is_pow2(config_.audio_window) && config_.audio_window >= 2,
+      "audio window must be a power of two >= 2");
+  VIBGUARD_REQUIRE(config_.audio_hop > 0, "audio hop must be positive");
+}
 
 double DefenseSystem::score(const Signal& va_recording,
                             const Signal& wearable_recording,

@@ -60,7 +60,8 @@ struct DefenseConfig {
   /// signals (robustness knob; the ≤5 Hz crop is designed to remove it).
   std::optional<sensors::Activity> user_activity;
 
-  // Audio-baseline spectrogram parameters (16 kHz recordings).
+  // Audio-baseline spectrogram parameters (16 kHz recordings). The window
+  // must be a power of two >= 2.
   std::size_t audio_window = 512;
   std::size_t audio_hop = 128;
 

@@ -66,11 +66,9 @@ StreamingPipeline::StreamingPipeline(const DefenseSystem& system,
 void StreamingPipeline::set_config(const StreamingConfig& config) {
   VIBGUARD_REQUIRE(!active_, "cannot reconfigure an active stream");
   VIBGUARD_REQUIRE(config.block_samples > 0, "block size must be positive");
-  VIBGUARD_REQUIRE(config.provisional_window > 0 && config.provisional_hop > 0,
-                   "provisional feature grid must be positive");
-  config_ = config;
   prov_extractor_ =
       VibrationFeatureExtractor(provisional_features(*system_, config));
+  config_ = config;
 }
 
 void StreamingPipeline::begin(double sample_rate, const Segmenter* segmenter,

@@ -200,7 +200,7 @@ struct StreamingConfig {
   /// calibrated on its own scale (eval/confidence), so it can trade
   /// frequency resolution for time resolution; the batch finalize pass is
   /// untouched. Other extractor knobs (high-pass, crop) follow the batch
-  /// feature config.
+  /// feature config. The window must be a power of two >= 2.
   std::size_t provisional_window = 16;
   std::size_t provisional_hop = 4;
 

@@ -1,18 +1,27 @@
 #include "core/vibration_features.hpp"
 
-#include "common/error.hpp"
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/filter.hpp"
 
 namespace vibguard::core {
+namespace {
+
+void check_grid(const VibrationFeatureConfig& config) {
+  VIBGUARD_REQUIRE(dsp::is_pow2(config.window_size) && config.window_size >= 2,
+                   "window size must be a power of two >= 2");
+  VIBGUARD_REQUIRE(config.hop > 0, "hop must be positive");
+}
+
+}  // namespace
 
 VibrationFeatureExtractor::VibrationFeatureExtractor(
     VibrationFeatureConfig config)
     : config_(config) {
-  VIBGUARD_REQUIRE(config_.window_size > 0 && config_.hop > 0,
-                   "window and hop must be positive");
+  check_grid(config_);
 }
 
 dsp::Spectrogram VibrationFeatureExtractor::extract(
@@ -52,8 +61,7 @@ void VibrationFeatureExtractor::extract_into(const Signal& vibration,
 StreamingVibrationFeatures::StreamingVibrationFeatures(
     VibrationFeatureConfig config)
     : config_(config) {
-  VIBGUARD_REQUIRE(config_.window_size > 0 && config_.hop > 0,
-                   "window and hop must be positive");
+  check_grid(config_);
 }
 
 void StreamingVibrationFeatures::begin(double sample_rate) {

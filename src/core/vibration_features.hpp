@@ -14,7 +14,7 @@
 namespace vibguard::core {
 
 struct VibrationFeatureConfig {
-  std::size_t window_size = 64;   ///< STFT window and FFT length
+  std::size_t window_size = 64;   ///< STFT window and FFT length (2^k >= 2)
   std::size_t hop = 16;           ///< frame shift in samples
   double highpass_hz = 4.0;       ///< body-motion pre-filter cutoff
   double crop_below_hz = 5.0;     ///< accelerometer-artifact crop

@@ -13,43 +13,17 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-void fft_pow2(std::span<Complex> data, bool inverse) {
-  VIBGUARD_REQUIRE(is_pow2(data.size()),
-                   "fft_pow2 requires a power-of-two length");
-  get_plan(data.size()).transform(data, inverse);
-}
-
-std::vector<Complex> fft(std::span<const Complex> data, bool inverse) {
-  if (data.empty()) return {};
-  std::vector<Complex> out(data.begin(), data.end());
-  get_plan(out.size()).transform(out, inverse);
-  return out;
-}
-
-std::vector<Complex> fft_real(std::span<const double> data) {
-  std::vector<Complex> buf(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) buf[i] = Complex(data[i], 0.0);
-  if (!buf.empty()) get_plan(buf.size()).transform(buf, false);
-  return buf;
-}
-
-std::vector<Complex> rfft(std::span<const double> data) {
-  if (data.empty()) return {};
-  std::vector<Complex> out(data.size() / 2 + 1);
-  get_plan(data.size()).rfft(data, out);
-  return out;
-}
-
 std::vector<double> magnitude_spectrum(std::span<const double> data) {
   if (data.empty()) return {};
-  std::vector<double> mag(data.size() / 2 + 1);
-  get_plan(data.size()).magnitude(data, mag);
+  const std::size_t m = next_pow2(data.size());
+  std::vector<Complex> spec(m / 2 + 1);
+  get_plan(m).rfft(data, spec);
+  const double norm = 1.0 / static_cast<double>(data.size());
+  std::vector<double> mag(spec.size());
+  for (std::size_t k = 0; k < mag.size(); ++k) {
+    mag[k] = std::abs(spec[k]) * norm;
+  }
   return mag;
-}
-
-void magnitude_spectrum(std::span<const double> data, std::span<double> out) {
-  if (data.empty()) return;
-  get_plan(data.size()).magnitude(data, out);
 }
 
 double bin_frequency(std::size_t k, std::size_t n, double sample_rate) {

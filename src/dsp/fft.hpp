@@ -1,14 +1,10 @@
-// Fast Fourier transforms.
+// Fast Fourier transforms: the power-of-two helpers and the one-sided
+// magnitude spectrum the paper's figures are drawn from.
 //
-// Provides an in-place iterative radix-2 Cooley–Tukey FFT for power-of-two
-// lengths and a Bluestein chirp-z fallback for arbitrary lengths, so callers
-// never need to pad. Real-signal helpers return one-sided magnitude spectra,
-// the representation used throughout the paper's figures.
-//
-// All entry points run on cached per-size plans (see fft_plan.hpp): the
-// bit-reversed index table the first pass gathers through, per-stage
-// twiddles and Bluestein chirp spectra are computed once per (thread, size)
-// instead of on every call.
+// Every transform runs on a cached per-size real-FFT plan (see
+// fft_plan.hpp), and plans exist only for powers of two. The offline
+// spectral helpers never need an exact-length DFT, so magnitude_spectrum
+// zero-pads its input to the next power of two instead.
 #pragma once
 
 #include <complex>
@@ -20,27 +16,10 @@ namespace vibguard::dsp {
 
 using Complex = std::complex<double>;
 
-/// In-place FFT of a power-of-two-length buffer.
-/// `inverse` selects the inverse transform (scaled by 1/N).
-void fft_pow2(std::span<Complex> data, bool inverse);
-
-/// FFT of arbitrary length (Bluestein for non-power-of-two sizes).
-std::vector<Complex> fft(std::span<const Complex> data, bool inverse = false);
-
-/// FFT of a real signal; returns the full complex spectrum of length n.
-std::vector<Complex> fft_real(std::span<const double> data);
-
-/// Real-input FFT: the one-sided spectrum X[0..n/2] (n/2 + 1 bins) of a
-/// real signal, computed through an n/2-point complex transform for even n.
-std::vector<Complex> rfft(std::span<const double> data);
-
-/// One-sided magnitude spectrum of a real signal: |X[k]| for
-/// k = 0..floor(n/2), normalized by n so magnitudes are amplitude-like.
+/// One-sided magnitude spectrum of a real signal of n samples, zero-padded
+/// to m = next_pow2(n): |X[k]| / n for k = 0..m/2 (m/2 + 1 values, bin k at
+/// k * fs / m), normalized by n so magnitudes are amplitude-like.
 std::vector<double> magnitude_spectrum(std::span<const double> data);
-
-/// In-place overload: fills `out` (which must hold n/2 + 1 values) without
-/// allocating — the STFT/MFCC frame-loop workhorse.
-void magnitude_spectrum(std::span<const double> data, std::span<double> out);
 
 /// Frequency in Hz of one-sided bin k for an n-point transform at
 /// `sample_rate` Hz.

@@ -118,17 +118,6 @@ void windowed_power4(const double* in, std::size_t hop, const double* window,
   }
 }
 
-void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ar = a[i].real();
-    const double ai = a[i].imag();
-    const double br = b[i].real();
-    const double bi = b[i].imag();
-    out[i] = Complex(ar * br - ai * bi, ar * bi + ai * br);
-  }
-}
-
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
                       double norm2, double* out) {
   for (std::size_t k = 1; k < h; ++k) {
@@ -293,7 +282,6 @@ const Ops kOps = {
     .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
     .windowed_power4 = &windowed_power4,
-    .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
     .rfft_split = &rfft_split,
     .irfft_merge = &irfft_merge,

@@ -31,12 +31,12 @@
 //
 // Numerical contract: kernels that map each output to an independent
 // expression (multiply, divide, butterfly_stage, fft_gather_stage2_4,
-// fft_stages, windowed_power4, complex_multiply_to, rfft_split_power,
-// rfft_split, irfft_merge, linear_interp, soft_clip) are bit-identical
-// across all levels — the vector lanes perform the same operations in the
-// same order as the scalar code, and the SIMD translation units disable FP
-// contraction. windowed_power4 runs one STFT frame per vector lane, each
-// lane the per-frame operation sequence. Three reductions are bit-identical
+// fft_stages, windowed_power4, rfft_split_power, rfft_split, irfft_merge,
+// linear_interp, soft_clip) are bit-identical across all levels — the
+// vector lanes perform the same operations in the same order as the scalar
+// code, and the SIMD translation units disable FP contraction.
+// windowed_power4 runs one STFT frame per vector lane, each lane the
+// per-frame operation sequence. Three reductions are bit-identical
 // too, because their result does not depend on the order they are taken
 // in: max_value (the largest positive value, else +0.0), count_clipped (an
 // integer count) and census_plain (its sums stay strictly left to right in
@@ -84,11 +84,11 @@ struct CensusSums {
 };
 
 /// The tables an n-point STFT frame transform reads (n = 2h, h a power of
-/// two >= 4): those of the plan's h-point half plan and of its real split.
+/// two >= 4): the plan's h-point transform tables and its real split's.
 struct FrameTables {
   std::size_t n = 0;
-  const std::uint32_t* rev4 = nullptr;  ///< half plan's, h/4 entries
-  const Complex* tw = nullptr;   ///< half plan's stage twiddles, h-4 entries
+  const std::uint32_t* rev4 = nullptr;  ///< bit-reversal table, h/4 entries
+  const Complex* tw = nullptr;   ///< stage twiddles, h-4 entries
   const Complex* rtw = nullptr;  ///< exp(-2*pi*i*k/n), k = 0..h
 };
 
@@ -141,10 +141,6 @@ struct Ops {
   void (*windowed_power4)(const double* in, std::size_t hop,
                           const double* window, const FrameTables& tables,
                           double norm2, double* lanes, double* out);
-
-  /// out[i] = a[i] * b[i] (textbook complex product; out may alias a).
-  void (*complex_multiply_to)(Complex* out, const Complex* a, const Complex* b,
-                              std::size_t n);
 
   /// Conjugate-symmetric split of a packed half-length real-FFT spectrum
   /// straight into one-sided power bins k = 1..h-1:
@@ -327,8 +323,6 @@ void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse);
 void windowed_power4(const double* in, std::size_t hop, const double* window,
                      const FrameTables& tables, double norm2, double* lanes,
                      double* out);
-void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
-                         std::size_t n);
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
                       double norm2, double* out);
 void rfft_split(const Complex* z, const Complex* rtw, std::size_t h,

@@ -5,11 +5,11 @@
 //
 // Lane discipline: the elementwise kernels (multiply, divide,
 // butterfly_stage, fft_gather_stage2_4, fft_stages, windowed_power4,
-// complex_multiply_to, rfft_split_power, rfft_split, irfft_merge,
-// linear_interp, soft_clip) evaluate per-output expressions with the same
-// operations in the same order as the scalar kernels — multiplication/
-// addition operand swaps only where IEEE-754 results are bitwise unchanged
-// — so they are bit-identical to scalar. windowed_power4 holds one STFT
+// rfft_split_power, rfft_split, irfft_merge, linear_interp, soft_clip)
+// evaluate per-output expressions with the same operations in the same
+// order as the scalar kernels — multiplication/addition operand swaps only
+// where IEEE-754 results are bitwise unchanged — so they are bit-identical
+// to scalar. windowed_power4 holds one STFT
 // frame per lane and repeats, lane by lane, the operations this unit's
 // per-frame kernels perform. max_value, count_clipped and census_plain are
 // reductions whose result does not depend on the order: a max, a count,
@@ -386,19 +386,6 @@ void windowed_power4(const double* in, std::size_t hop, const double* window,
   alignas(32) double ph[4];
   _mm256_store_pd(ph, edge(_mm256_sub_pd(z0.re, z0.im)));
   for (std::size_t l = 0; l < 4; ++l) out[l * stride + h] = ph[l];
-}
-
-void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
-                         std::size_t n) {
-  double* po = reinterpret_cast<double*>(out);
-  const double* pa = reinterpret_cast<const double*>(a);
-  const double* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm256_storeu_pd(po + 2 * i, cmul(_mm256_loadu_pd(pa + 2 * i),
-                                      _mm256_loadu_pd(pb + 2 * i)));
-  }
-  if (i < n) scalar::complex_multiply_to(out + i, a + i, b + i, n - i);
 }
 
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,
@@ -794,7 +781,6 @@ const Ops kOps = {
     .fft_gather_stage2_4 = &fft_gather_stage2_4,
     .fft_stages = &fft_stages,
     .windowed_power4 = &windowed_power4,
-    .complex_multiply_to = &complex_multiply_to,
     .rfft_split_power = &rfft_split_power,
     .rfft_split = &rfft_split,
     .irfft_merge = &irfft_merge,

@@ -101,7 +101,6 @@ const Ops kOps = {
     .fft_gather_stage2_4 = &scalar::fft_gather_stage2_4,
     .fft_stages = &scalar::fft_stages,
     .windowed_power4 = &scalar::windowed_power4,
-    .complex_multiply_to = &scalar::complex_multiply_to,
     .rfft_split_power = &scalar::rfft_split_power,
     .rfft_split = &scalar::rfft_split,
     .irfft_merge = &scalar::irfft_merge,

@@ -13,12 +13,15 @@ double band_energy(const Signal& signal, double low_hz, double high_hz) {
   if (signal.empty()) return 0.0;
   const auto mag = magnitude_spectrum(signal.samples());
   const std::size_t n = signal.size();
+  const std::size_t m = next_pow2(n);
   double acc = 0.0;
   for (std::size_t k = 0; k < mag.size(); ++k) {
-    const double f = bin_frequency(k, n, signal.sample_rate());
+    const double f = bin_frequency(k, m, signal.sample_rate());
     if (f >= low_hz && f <= high_hz) acc += mag[k] * mag[k];
   }
-  return acc;
+  // The m-point spectrum of n samples holds m/n times their energy
+  // (Parseval), so the sum is rescaled to the unpadded total.
+  return acc * static_cast<double>(n) / static_cast<double>(m);
 }
 
 double band_energy_fraction(const Signal& signal, double low_hz,
@@ -31,12 +34,13 @@ double band_energy_fraction(const Signal& signal, double low_hz,
 double spectral_centroid(const Signal& signal) {
   if (signal.empty()) return 0.0;
   const auto mag = magnitude_spectrum(signal.samples());
-  const std::size_t n = signal.size();
+  const std::size_t m = next_pow2(signal.size());
   double num = 0.0, den = 0.0;
   for (std::size_t k = 0; k < mag.size(); ++k) {
-    const double f = bin_frequency(k, n, signal.sample_rate());
-    num += f * mag[k];
-    den += mag[k];
+    const double f = bin_frequency(k, m, signal.sample_rate());
+    const double p = mag[k] * mag[k];
+    num += f * p;
+    den += p;
   }
   return den > 0.0 ? num / den : 0.0;
 }
@@ -64,7 +68,8 @@ std::vector<double> magnitude_spectrum_resampled(const Signal& signal,
   std::vector<double> out(num_points, 0.0);
   if (signal.empty()) return out;
   const auto mag = magnitude_spectrum(signal.samples());
-  const double bin_hz = signal.sample_rate() / static_cast<double>(signal.size());
+  const double bin_hz =
+      signal.sample_rate() / static_cast<double>(next_pow2(signal.size()));
   for (std::size_t i = 0; i < num_points; ++i) {
     const double f = max_hz * static_cast<double>(i) /
                      static_cast<double>(num_points - 1);

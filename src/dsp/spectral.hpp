@@ -1,5 +1,6 @@
 // Spectral summary statistics used by the attack study and the phoneme
-// selection criteria.
+// selection criteria. All of them read magnitude_spectrum (fft.hpp): the
+// signal zero-padded to m = next_pow2(n) samples, bins fs/m apart.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +12,8 @@
 namespace vibguard::dsp {
 
 /// Signal energy (sum of squared magnitude-spectrum values) within
-/// [low_hz, high_hz].
+/// [low_hz, high_hz], scaled by n/m so that Parseval totals do not depend
+/// on the padding.
 double band_energy(const Signal& signal, double low_hz, double high_hz);
 
 /// Fraction of total spectral energy within [low_hz, high_hz]; 0 for a
@@ -19,16 +21,18 @@ double band_energy(const Signal& signal, double low_hz, double high_hz);
 double band_energy_fraction(const Signal& signal, double low_hz,
                             double high_hz);
 
-/// Magnitude-weighted mean frequency; 0 for a silent signal.
+/// Power-weighted mean frequency, sum(f * |X|^2) / sum(|X|^2); 0 for a
+/// silent signal.
 double spectral_centroid(const Signal& signal);
 
 /// Element-wise mean of several equal-length magnitude spectra.
 std::vector<double> average_spectra(
     std::span<const std::vector<double>> spectra);
 
-/// Magnitude spectrum interpolated onto `num_points` uniformly spaced
-/// frequencies in [0, max_hz] — used to average spectra of signals with
-/// different lengths (the paper's Figs. 3/4/6 average 100 segments).
+/// Magnitude spectrum interpolated from its fs/m grid onto `num_points`
+/// uniformly spaced frequencies in [0, max_hz] — used to average spectra
+/// of signals with different lengths (the paper's Figs. 3/4/6 average 100
+/// segments).
 std::vector<double> magnitude_spectrum_resampled(const Signal& signal,
                                                  double max_hz,
                                                  std::size_t num_points);

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
 #include "dsp/simd.hpp"
 
@@ -85,7 +86,7 @@ void Spectrogram::reshape(std::size_t frames, std::size_t bins, double bin_hz,
   bin_hz_ = bin_hz;
   hop_seconds_ = hop_seconds;
   bin0_hz_ = 0.0;
-  data_.assign(frames * bins, 0.0);
+  data_.resize(frames * bins);
 }
 
 Spectrogram Spectrogram::resized_frames(std::size_t frames) const {
@@ -117,7 +118,8 @@ Spectrogram stft_power(const Signal& signal, std::size_t window_size,
 
 void stft_power_into(const Signal& signal, std::size_t window_size,
                      std::size_t hop, Spectrogram& out, WindowType window) {
-  VIBGUARD_REQUIRE(window_size > 0, "window size must be positive");
+  VIBGUARD_REQUIRE(is_pow2(window_size),
+                   "window size must be a power of two");
   VIBGUARD_REQUIRE(hop > 0, "hop must be positive");
   const double* samples = signal.samples().data();
   std::size_t n = signal.size();
@@ -187,12 +189,14 @@ Correlation2dResult correlation_2d_ex(const Spectrogram& a,
 
 void StreamingStft::reset(std::size_t window_size, std::size_t hop,
                           WindowType window) {
-  VIBGUARD_REQUIRE(window_size > 0, "window size must be positive");
+  VIBGUARD_REQUIRE(is_pow2(window_size),
+                   "window size must be a power of two");
   VIBGUARD_REQUIRE(hop > 0, "hop must be positive");
   window_ = window_size;
   hop_ = hop;
   bins_ = window_size / 2 + 1;
   frames_ = 0;
+  skip_ = 0;
   type_ = window;
   pending_.clear();
   rows_.clear();
@@ -200,7 +204,11 @@ void StreamingStft::reset(std::size_t window_size, std::size_t hop,
 
 std::size_t StreamingStft::push(std::span<const double> samples) {
   VIBGUARD_REQUIRE(window_ > 0, "StreamingStft::reset must run first");
-  pending_.insert(pending_.end(), samples.begin(), samples.end());
+  // A hop longer than the window starts the next frame past the samples
+  // seen so far; the samples in between belong to no frame.
+  const std::size_t skip = std::min(skip_, samples.size());
+  skip_ -= skip;
+  pending_.insert(pending_.end(), samples.begin() + skip, samples.end());
   if (pending_.size() < window_) return 0;
 
   const auto& win = cached_window(type_, window_);
@@ -219,10 +227,10 @@ std::size_t StreamingStft::push(std::span<const double> samples) {
     ++emitted;
     offset += hop_;
   }
-  if (offset > 0) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(offset));
-  }
+  const std::size_t consumed = std::min(offset, pending_.size());
+  skip_ = offset - consumed;
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(consumed));
   return emitted;
 }
 

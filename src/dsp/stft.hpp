@@ -66,8 +66,9 @@ class Spectrogram {
   /// within the existing storage (no allocation).
   void crop_low_frequencies_in_place(double cutoff_hz);
 
-  /// Reconfigures shape and metadata in place, reusing storage capacity.
-  /// All cells are reset to zero and bin 0 is re-centered at 0 Hz.
+  /// Reconfigures shape and metadata in place, reusing storage capacity,
+  /// and re-centers bin 0 at 0 Hz. The cells' contents are unspecified
+  /// afterwards: the caller overwrites every one.
   void reshape(std::size_t frames, std::size_t bins, double bin_hz,
                double hop_seconds);
 
@@ -91,7 +92,8 @@ class Spectrogram {
 
 /// Power spectrogram: squared one-sided FFT magnitudes of windowed frames.
 /// `window_size` samples per frame, advanced by `hop` samples; FFT length
-/// equals window_size (the paper uses window = FFT = 64).
+/// equals window_size, which must be a power of two (the paper uses
+/// window = FFT = 64).
 Spectrogram stft_power(const Signal& signal, std::size_t window_size,
                        std::size_t hop,
                        WindowType window = WindowType::kHann);
@@ -138,6 +140,7 @@ class StreamingStft {
   StreamingStft() = default;
 
   /// Resets the carried state for a new stream (capacity retained).
+  /// `window_size` must be a power of two.
   void reset(std::size_t window_size, std::size_t hop,
              WindowType window = WindowType::kHann);
 
@@ -165,6 +168,7 @@ class StreamingStft {
   std::size_t hop_ = 0;
   std::size_t bins_ = 0;
   std::size_t frames_ = 0;
+  std::size_t skip_ = 0;  ///< samples a hop past the window still drops
   WindowType type_ = WindowType::kHann;
   std::vector<double> pending_;  ///< carried samples not yet consumed
   std::vector<double> rows_;     ///< emitted power frames, row-major

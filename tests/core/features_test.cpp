@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/generate.hpp"
 
@@ -78,6 +79,18 @@ TEST(VibrationFeaturesTest, ShortVibrationStillProducesOneFrame) {
   VibrationFeatureExtractor ex;
   const auto spec = ex.extract(vibration_with_tone(30.0, 0.01, 0.1));
   EXPECT_EQ(spec.frames(), 1u);
+}
+
+TEST(VibrationFeaturesTest, RejectsNonPowerOfTwoWindowAtConstruction) {
+  VibrationFeatureConfig cfg;
+  cfg.window_size = 400;
+  EXPECT_THROW(VibrationFeatureExtractor{cfg}, InvalidArgument);
+}
+
+TEST(VibrationFeaturesTest, StreamingRejectsNonPowerOfTwoWindow) {
+  VibrationFeatureConfig cfg;
+  cfg.window_size = 400;
+  EXPECT_THROW(StreamingVibrationFeatures{cfg}, InvalidArgument);
 }
 
 TEST(VibrationFeaturesTest, PaperParametersAreDefaults) {

@@ -130,6 +130,15 @@ TEST(PipelineTest, ShortSegmentsFallBackToWholeCommand) {
   EXPECT_GT(trace.segment_seconds, 0.8);
 }
 
+TEST(PipelineTest, RejectsNonPowerOfTwoAudioWindowAtConstruction) {
+  DefenseConfig cfg;
+  cfg.audio_window = 400;
+  EXPECT_THROW(DefenseSystem{cfg}, vibguard::InvalidArgument);
+  cfg.audio_window = 512;
+  cfg.audio_hop = 0;
+  EXPECT_THROW(DefenseSystem{cfg}, vibguard::InvalidArgument);
+}
+
 TEST(PipelineTest, RejectsEmptyRecordings) {
   DefenseConfig cfg;
   cfg.mode = DefenseMode::kVibrationBaseline;

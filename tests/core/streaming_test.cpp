@@ -6,9 +6,12 @@
 #include <cstddef>
 #include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/attack.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/quality.hpp"
@@ -204,25 +207,34 @@ TEST(StreamingStftTest, MatchesBatchPowerSpectrogram) {
   for (double& s : samples) s = rng.gaussian();
   const Signal signal(samples, 16000.0);
 
-  dsp::Spectrogram batch;
-  dsp::stft_power_into(signal, 64, 16, batch);
+  // (window, hop) pairs, including hops longer than the window: the
+  // samples between frames are then skipped, possibly across pushes.
+  const std::pair<std::size_t, std::size_t> grids[] = {
+      {64, 16}, {16, 20}, {64, 100}};
+  for (const auto& [window, hop] : grids) {
+    dsp::Spectrogram batch;
+    dsp::stft_power_into(signal, window, hop, batch);
 
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{50}, std::size_t{1000}}) {
-    dsp::StreamingStft stft;
-    stft.reset(64, 16);
-    for (std::size_t off = 0; off < samples.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, samples.size() - off);
-      stft.push(std::span<const double>(samples).subspan(off, n));
-    }
-    ASSERT_EQ(stft.frames(), batch.frames()) << "chunk=" << chunk;
-    ASSERT_EQ(stft.bins(), batch.bins()) << "chunk=" << chunk;
-    for (std::size_t f = 0; f < batch.frames(); ++f) {
-      for (std::size_t b = 0; b < batch.bins(); ++b) {
-        // Each frame is windowed and transformed exactly once, in the same
-        // order as the batch transform — bitwise identical.
-        ASSERT_EQ(stft.row(f)[b], batch.at(f, b))
-            << "chunk=" << chunk << " frame=" << f << " bin=" << b;
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{50}, std::size_t{1000}}) {
+      dsp::StreamingStft stft;
+      stft.reset(window, hop);
+      for (std::size_t off = 0; off < samples.size(); off += chunk) {
+        const std::size_t n = std::min(chunk, samples.size() - off);
+        stft.push(std::span<const double>(samples).subspan(off, n));
+      }
+      const std::string where = "window=" + std::to_string(window) +
+                                " hop=" + std::to_string(hop) +
+                                " chunk=" + std::to_string(chunk);
+      ASSERT_EQ(stft.frames(), batch.frames()) << where;
+      ASSERT_EQ(stft.bins(), batch.bins()) << where;
+      for (std::size_t f = 0; f < batch.frames(); ++f) {
+        for (std::size_t b = 0; b < batch.bins(); ++b) {
+          // Each frame is windowed and transformed exactly once, in the
+          // same order as the batch transform — bitwise identical.
+          ASSERT_EQ(stft.row(f)[b], batch.at(f, b))
+              << where << " frame=" << f << " bin=" << b;
+        }
       }
     }
   }
@@ -407,6 +419,15 @@ TEST(StreamingPipelineTest, SecondFinalizeIsIdempotent) {
   pipeline.push(trial.va.samples(), trial.wearable.samples());
   const StreamOutcome again = pipeline.finalize();
   EXPECT_EQ(again.outcome.score, first.outcome.score);
+}
+
+TEST(StreamingPipelineTest, RejectsNonPowerOfTwoProvisionalWindow) {
+  DefenseSystem system((DefenseConfig()));
+  StreamingConfig cfg;
+  cfg.provisional_window = 400;
+  EXPECT_THROW(StreamingPipeline(system, cfg), InvalidArgument);
+  StreamingPipeline pipeline(system);
+  EXPECT_THROW(pipeline.set_config(cfg), InvalidArgument);
 }
 
 TEST(StreamingPipelineTest, ZeroLengthPushIsNoOp) {

@@ -117,7 +117,7 @@ TEST_P(AliasTest, FoldsToPredictedFrequency) {
   for (std::size_t k = 2; k < mag.size(); ++k) {
     if (mag[k] > mag[best]) best = k;
   }
-  const double measured = bin_frequency(best, out.size(), fs);
+  const double measured = bin_frequency(best, next_pow2(out.size()), fs);
   EXPECT_NEAR(measured, alias, 1.5) << "f=" << f;
 }
 

@@ -20,7 +20,7 @@ double dominant_frequency(const Signal& s) {
   for (std::size_t k = 2; k < mag.size(); ++k) {
     if (mag[k] > mag[best]) best = k;
   }
-  return bin_frequency(best, s.size(), s.sample_rate());
+  return bin_frequency(best, next_pow2(s.size()), s.sample_rate());
 }
 
 TEST(ResampleTest, OutputLengthMatchesRateRatio) {

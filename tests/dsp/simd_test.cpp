@@ -252,32 +252,6 @@ TEST(SimdKernelTest, FftStagesBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdKernelTest, ComplexMultiplyBitIdenticalAcrossLevels) {
-  Rng rng(103);
-  LevelGuard guard;
-  for (std::size_t n : kSizes) {
-    const auto a = random_complex(rng, n);
-    const auto b = random_complex(rng, n);
-    std::vector<Complex> ref(n);
-    scalar::complex_multiply_to(ref.data(), a.data(), b.data(), n);
-    for (Level level : available_levels()) {
-      ASSERT_TRUE(set_level(level));
-      std::vector<Complex> got(n);
-      ops().complex_multiply_to(got.data(), a.data(), b.data(), n);
-      // Also the in-place (out aliases a) form used by the Bluestein path.
-      auto aliased = a;
-      ops().complex_multiply_to(aliased.data(), aliased.data(), b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i].real(), ref[i].real())
-            << level_name(level) << " n=" << n << " i=" << i;
-        EXPECT_EQ(got[i].imag(), ref[i].imag());
-        EXPECT_EQ(aliased[i].real(), ref[i].real());
-        EXPECT_EQ(aliased[i].imag(), ref[i].imag());
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, RfftSplitPowerBitIdenticalAcrossLevels) {
   Rng rng(104);
   LevelGuard guard;

@@ -66,35 +66,6 @@ void expect_complex_near(std::span<const dsp::Complex> got,
   }
 }
 
-TEST(FuzzDifferential, FftPlanTransformMatchesNaiveDft) {
-  const std::size_t iters = testing::fuzz_iterations();
-  const std::uint64_t base = testing::fuzz_base_seed();
-  for (std::size_t it = 0; it < iters; ++it) {
-    const std::uint64_t seed = base + it;
-    SCOPED_TRACE(testing::seed_note(seed));
-    Rng rng(seed);
-    // Mix of power-of-two and Bluestein sizes, including 1.
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 96));
-    std::vector<dsp::Complex> x(n);
-    for (auto& v : x) {
-      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    }
-    const double tol = 1e-9 * static_cast<double>(n) + 1e-10;
-
-    std::vector<dsp::Complex> fwd = x;
-    dsp::get_plan(n).transform(fwd, false);
-    expect_complex_near(fwd, testing::naive_dft(x, false), tol);
-
-    std::vector<dsp::Complex> inv = x;
-    dsp::get_plan(n).transform(inv, true);
-    expect_complex_near(inv, testing::naive_dft(x, true), tol);
-
-    // Round trip back to the input.
-    dsp::get_plan(n).transform(fwd, true);
-    expect_complex_near(fwd, x, tol);
-  }
-}
-
 TEST(FuzzDifferential, RfftMatchesNaiveDft) {
   const std::size_t iters = testing::fuzz_iterations();
   const std::uint64_t base = testing::fuzz_base_seed();
@@ -102,24 +73,32 @@ TEST(FuzzDifferential, RfftMatchesNaiveDft) {
     const std::uint64_t seed = base + it;
     SCOPED_TRACE(testing::seed_note(seed));
     Rng rng(seed);
-    // Even sizes exercise the packed half-length fast path, odd sizes the
-    // complex fallback.
+    // Any length: the plan runs at the next power of two m and the input
+    // is zero-padded to it.
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 128));
+    const std::size_t m = dsp::next_pow2(n);
     const auto x = random_vector(rng, n, -1.0, 1.0);
-    const double tol = 1e-9 * static_cast<double>(n) + 1e-10;
+    std::vector<double> padded(m, 0.0);
+    std::copy(x.begin(), x.end(), padded.begin());
+    const double tol = 1e-9 * static_cast<double>(m) + 1e-10;
 
-    expect_complex_near(dsp::rfft(x), testing::naive_rfft(x), tol);
+    const auto spec_ref = testing::naive_rfft(padded);
+    std::vector<dsp::Complex> spec(m / 2 + 1);
+    dsp::get_plan(m).rfft(x, spec);
+    expect_complex_near(spec, spec_ref, tol);
 
-    const auto mag_ref = testing::naive_magnitude_spectrum(x);
+    // magnitude_spectrum: the padded spectrum normalized by n, not m.
     const auto mag = dsp::magnitude_spectrum(x);
-    ASSERT_EQ(mag.size(), mag_ref.size());
+    ASSERT_EQ(mag.size(), spec_ref.size());
     for (std::size_t k = 0; k < mag.size(); ++k) {
-      EXPECT_NEAR(mag[k], mag_ref[k], tol) << "bin " << k;
+      EXPECT_NEAR(mag[k], std::abs(spec_ref[k]) / static_cast<double>(n),
+                  tol)
+          << "bin " << k;
     }
 
-    std::vector<double> pow(n / 2 + 1, 0.0);
-    dsp::get_plan(n).power(x, pow);
-    const auto pow_ref = testing::naive_power_spectrum(x);
+    std::vector<double> pow(m / 2 + 1, 0.0);
+    dsp::get_plan(m).power(padded, pow);
+    const auto pow_ref = testing::naive_power_spectrum(padded);
     for (std::size_t k = 0; k < pow.size(); ++k) {
       EXPECT_NEAR(pow[k], pow_ref[k], tol) << "bin " << k;
     }
@@ -133,11 +112,9 @@ TEST(FuzzDifferential, IrfftRoundTripsAndMatchesNaiveDft) {
     const std::uint64_t seed = base + it;
     SCOPED_TRACE(testing::seed_note(seed));
     Rng rng(seed);
-    // Even sizes 2..4096, log-uniform so small and large plans both get
-    // exercised; every other trial lands exactly on a power of two.
+    // Powers of two 2..2048, so small and large plans both get exercised.
     const double log_half = rng.uniform(0.0, 11.0);
-    auto n = 2 * static_cast<std::size_t>(std::exp2(log_half));
-    if (it % 2 == 0) n = std::size_t{1} << (1 + static_cast<int>(log_half));
+    const std::size_t n = std::size_t{1} << (1 + static_cast<int>(log_half));
     SCOPED_TRACE("n = " + std::to_string(n));
     const auto x = random_vector(rng, n, -1.0, 1.0);
     const dsp::FftPlan& plan = dsp::get_plan(n);
@@ -258,30 +235,9 @@ TEST(FuzzDifferential, FftPlanBitIdenticalToSwapPassReference) {
     const std::uint64_t seed = base + it;
     SCOPED_TRACE(testing::seed_note(seed));
     Rng rng(seed);
-    // Every other trial a power of two from 1 to 65536; the rest mostly
-    // Bluestein sizes (odd, or even with a non-power-of-two half),
-    // log-uniform up to 4096, with one in 64 drawn from a few
-    // command-length sizes up to 65535. A fixed set keeps the per-thread
-    // plan cache small: every distinct size stays planned until exit.
-    constexpr std::size_t kLongSizes[] = {18689, 19462, 36333, 65535};
-    std::size_t m = 0;
-    if (it % 2 == 0) {
-      m = std::size_t{1} << rng.uniform_int(0, 16);
-    } else if (it % 128 == 1) {
-      m = kLongSizes[rng.uniform_int(0, 3)];
-    } else {
-      m = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::exp2(rng.uniform(0.0, 12.0))));
-    }
+    // A power of two from 1 to 65536 (plans exist for no other size).
+    const std::size_t m = std::size_t{1} << rng.uniform_int(0, 16);
     SCOPED_TRACE("m = " + std::to_string(m));
-
-    std::vector<dsp::Complex> x(m);
-    for (auto& v : x) {
-      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    }
-    std::vector<dsp::Complex> fwd_ref = x, inv_ref = x;
-    testing::reference_transform(fwd_ref, false);
-    testing::reference_transform(inv_ref, true);
 
     // rfft of a zero-padded input at every boundary length up to m.
     const auto half = static_cast<std::int64_t>(m / 2);
@@ -299,36 +255,24 @@ TEST(FuzzDifferential, FftPlanBitIdenticalToSwapPassReference) {
       rfft_ref.push_back(testing::reference_rfft(in, m));
     }
 
-    // irfft (size 1 and even sizes only), whole and prefix outputs.
-    const bool has_irfft = m == 1 || m % 2 == 0;
+    // irfft, whole and prefix outputs.
     std::vector<dsp::Complex> spec(m / 2 + 1);
     for (auto& v : spec) {
       v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
     }
     const std::size_t prefix = static_cast<std::size_t>(rng.uniform_int(0, mi));
-    std::vector<double> irfft_ref, irfft_prefix_ref;
-    if (has_irfft) {
-      irfft_ref = testing::reference_irfft(spec, m, m);
-      irfft_prefix_ref = testing::reference_irfft(spec, m, prefix);
-    }
+    const auto irfft_ref = testing::reference_irfft(spec, m, m);
+    const auto irfft_prefix_ref = testing::reference_irfft(spec, m, prefix);
 
     const auto sig = signed_zero_vector(rng, m);
     const auto window = random_vector(rng, m, 0.0, 1.0);
     const auto power_ref = testing::reference_power(sig);
     const auto wpower_ref = testing::reference_windowed_power(sig, window);
-    const auto mag_ref = testing::reference_magnitude(sig);
 
     for (dsp::simd::Level level : levels) {
       SCOPED_TRACE(dsp::simd::level_name(level));
       ASSERT_TRUE(dsp::simd::set_level(level));
       const dsp::FftPlan& plan = dsp::get_plan(m);
-
-      std::vector<dsp::Complex> got = x;
-      plan.transform(got, false);
-      expect_same_bits(got, fwd_ref, "transform");
-      got = x;
-      plan.transform(got, true);
-      expect_same_bits(got, inv_ref, "inverse transform");
 
       std::vector<dsp::Complex> bins(m / 2 + 1);
       for (std::size_t i = 0; i < rfft_in.size(); ++i) {
@@ -337,23 +281,19 @@ TEST(FuzzDifferential, FftPlanBitIdenticalToSwapPassReference) {
                          "rfft len " + std::to_string(rfft_in[i].size()));
       }
 
-      if (has_irfft) {
-        std::vector<double> out(m);
-        plan.irfft(spec, out);
-        expect_same_bits(out, irfft_ref, "irfft");
-        std::vector<double> head(prefix);
-        plan.irfft(spec, head);
-        expect_same_bits(head, irfft_prefix_ref,
-                         "irfft prefix " + std::to_string(prefix));
-      }
+      std::vector<double> samples(m);
+      plan.irfft(spec, samples);
+      expect_same_bits(samples, irfft_ref, "irfft");
+      std::vector<double> head(prefix);
+      plan.irfft(spec, head);
+      expect_same_bits(head, irfft_prefix_ref,
+                       "irfft prefix " + std::to_string(prefix));
 
       std::vector<double> out(m / 2 + 1);
       plan.power(sig, out);
       expect_same_bits(out, power_ref, "power");
       plan.windowed_power(sig.data(), window.data(), out);
       expect_same_bits(out, wpower_ref, "windowed_power");
-      plan.magnitude(sig, out);
-      expect_same_bits(out, mag_ref, "magnitude");
     }
     dsp::simd::set_level(entry_level);
   }
@@ -419,7 +359,7 @@ TEST(FuzzDifferential, PlannedStftPowerMatchesNaive) {
     const std::uint64_t seed = base + it;
     SCOPED_TRACE(testing::seed_note(seed));
     Rng rng(seed);
-    const auto ws = static_cast<std::size_t>(rng.uniform_int(4, 64));
+    const std::size_t ws = std::size_t{1} << rng.uniform_int(2, 6);
     const auto hop = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(ws)));
     // Includes empty and shorter-than-one-window inputs (padded path).
@@ -460,12 +400,10 @@ TEST(FuzzDifferential, StftLanesMatchPerFrameWindowedPower) {
     const std::uint64_t seed = base + it;
     SCOPED_TRACE(testing::seed_note(seed));
     Rng rng(seed);
-    // Mostly powers of two from 8 to 2048 (the lane path); one in four
-    // any size in that range (the per-frame path).
+    // Powers of two from 8 to 2048 (the lane path); one in four from 2,
+    // which includes the sizes below 8 that run frame by frame.
     const std::size_t ws =
-        it % 4 == 3
-            ? static_cast<std::size_t>(rng.uniform_int(8, 2048))
-            : std::size_t{1} << rng.uniform_int(3, 11);
+        std::size_t{1} << rng.uniform_int(it % 4 == 3 ? 1 : 3, 11);
     const std::size_t hops[] = {1, 3, 16, 128, ws, ws + 1};
     const std::size_t hop = hops[rng.uniform_int(0, 5)];
     // 0-9 frames, or 4k + {0..3} for k up to 12.
@@ -917,8 +855,8 @@ TEST(FuzzDifferential, ComputeRocMatchesBruteForce) {
 
 // Re-runs the DSP pipelines at every dispatch level this build + CPU
 // provides and holds them to the documented numerical contract versus the
-// scalar reference: pipelines built purely from elementwise kernels (FFT
-// transforms, planned STFT power, decimate_alias, the real-FFT gain filter)
+// scalar reference: pipelines built purely from elementwise kernels (real
+// FFTs, planned STFT power, decimate_alias, the real-FFT gain filter)
 // must agree bit-for-bit;
 // pipelines through the reduction kernels (FIR resample, correlation_2d,
 // MFCC) to ULP-scaled tolerance.
@@ -936,12 +874,9 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     Rng rng(seed);
 
     // Shared random inputs for all levels of this trial.
-    const auto fft_n = static_cast<std::size_t>(rng.uniform_int(2, 96));
-    std::vector<dsp::Complex> fft_in(fft_n);
-    for (auto& v : fft_in) {
-      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    }
-    const auto ws = static_cast<std::size_t>(rng.uniform_int(4, 64));
+    const std::size_t fft_n = std::size_t{1} << rng.uniform_int(1, 7);
+    const auto fft_in = random_vector(rng, fft_n, -1.0, 1.0);
+    const std::size_t ws = std::size_t{1} << rng.uniform_int(2, 6);
     const auto hop = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(ws)));
     const Signal stft_sig(
@@ -1043,8 +978,8 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     dsp::simd::ops().fft_gather_stage2_4(gather_ref.data(), gather_src.data(),
                                          gather_src.size(), rev4.data(),
                                          gather_n, gather_inverse);
-    std::vector<dsp::Complex> fft_ref = fft_in;
-    dsp::get_plan(fft_n).transform(fft_ref, false);
+    std::vector<dsp::Complex> fft_ref(fft_n / 2 + 1);
+    dsp::get_plan(fft_n).rfft(fft_in, fft_ref);
     dsp::Spectrogram stft_ref;
     dsp::stft_power_into(stft_sig, ws, hop, stft_ref);
     const Signal deci_ref = dsp::decimate_alias(deci_sig, deci_target);
@@ -1083,9 +1018,9 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       expect_same_bits(gather_got, gather_ref,
                        "fft_gather_stage2_4 n " + std::to_string(gather_n) +
                            " len " + std::to_string(gather_src.size()));
-      std::vector<dsp::Complex> fft_got = fft_in;
-      dsp::get_plan(fft_n).transform(fft_got, false);
-      for (std::size_t i = 0; i < fft_n; ++i) {
+      std::vector<dsp::Complex> fft_got(fft_n / 2 + 1);
+      dsp::get_plan(fft_n).rfft(fft_in, fft_got);
+      for (std::size_t i = 0; i < fft_got.size(); ++i) {
         EXPECT_EQ(fft_got[i].real(), fft_ref[i].real()) << "bin " << i;
         EXPECT_EQ(fft_got[i].imag(), fft_ref[i].imag()) << "bin " << i;
       }

@@ -19,11 +19,12 @@ using Complex = std::complex<double>;
 
 /// O(n^2) DFT by direct evaluation of X[k] = sum_n x[n] e^{-2*pi*i*k*n/N}.
 /// `inverse` evaluates the inverse transform (conjugate kernel, scaled by
-/// 1/N), matching the convention of dsp::fft / FftPlan::transform.
+/// 1/N).
 std::vector<Complex> naive_dft(std::span<const Complex> x, bool inverse);
 
 /// One-sided spectrum X[0..n/2] (n/2 + 1 bins) of a real signal by direct
-/// summation — the reference for dsp::rfft / FftPlan::rfft.
+/// summation — the reference for FftPlan::rfft and, on the zero-padded
+/// input, dsp::magnitude_spectrum.
 std::vector<Complex> naive_rfft(std::span<const double> x);
 
 /// Inverse of naive_rfft: the n real samples whose one-sided spectrum is
@@ -35,8 +36,7 @@ std::vector<Complex> naive_rfft(std::span<const double> x);
 std::vector<double> naive_irfft(std::span<const Complex> spectrum,
                                 std::size_t n);
 
-/// One-sided magnitude spectrum |X[k]|/n — the reference for
-/// dsp::magnitude_spectrum and FftPlan::magnitude.
+/// One-sided magnitude spectrum |X[k]|/n of x as given (no padding).
 std::vector<double> naive_magnitude_spectrum(std::span<const double> x);
 
 /// One-sided power spectrum (|X[k]|/n)^2 — the reference for

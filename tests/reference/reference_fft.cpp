@@ -1,12 +1,10 @@
 #include "reference/reference_fft.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
 #include <utility>
 
-#include "dsp/fft.hpp"
 #include "dsp/simd.hpp"
 
 namespace vibguard::testing {
@@ -43,7 +41,7 @@ std::vector<Complex> rtwiddles(std::size_t n) {
   return out;
 }
 
-// The packed half-length transform of an even-n real input, shared by
+// The packed half-length transform of a real input (n >= 2), shared by
 // rfft and power: pack adjacent samples into complex pairs, zero-pad,
 // transform.
 std::vector<Complex> packed_forward(std::span<const double> in,
@@ -52,7 +50,7 @@ std::vector<Complex> packed_forward(std::span<const double> in,
   std::vector<Complex> packed(h, Complex(0.0, 0.0));
   auto* p = reinterpret_cast<double*>(packed.data());
   if (!in.empty()) std::memcpy(p, in.data(), in.size() * sizeof(double));
-  reference_transform(packed, false);
+  reference_fft_pow2(packed, false);
   return packed;
 }
 
@@ -123,59 +121,11 @@ void reference_fft_pow2(std::span<Complex> data, bool inverse) {
   }
 }
 
-void reference_transform(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  if (dsp::is_pow2(n)) {
-    reference_fft_pow2(data, inverse);
-    return;
-  }
-
-  // Bluestein: chirp w[k] = exp(-i*pi*k^2/n), kernel b[k] = conj(w[|k|]).
-  const std::size_t m = dsp::next_pow2(2 * n - 1);
-  std::vector<Complex> chirp(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto k2 = static_cast<double>((k * k) % (2 * n));
-    const double angle = -std::numbers::pi * k2 / static_cast<double>(n);
-    chirp[k] = Complex(std::cos(angle), std::sin(angle));
-  }
-  std::vector<Complex> bspec(m, Complex(0.0, 0.0));
-  bspec[0] = std::conj(chirp[0]);
-  for (std::size_t k = 1; k < n; ++k) {
-    bspec[k] = bspec[m - k] = std::conj(chirp[k]);
-  }
-  reference_fft_pow2(bspec, false);
-
-  if (inverse) {
-    for (Complex& x : data) x = std::conj(x);
-  }
-  std::vector<Complex> work(m, Complex(0.0, 0.0));
-  const dsp::simd::Ops& ops = dsp::simd::ops();
-  ops.complex_multiply_to(work.data(), data.data(), chirp.data(), n);
-  reference_fft_pow2(work, false);
-  ops.complex_multiply_to(work.data(), work.data(), bspec.data(), m);
-  reference_fft_pow2(work, true);
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      data[k] = std::conj(work[k] * chirp[k]) * inv_n;
-    }
-  } else {
-    for (std::size_t k = 0; k < n; ++k) data[k] = work[k] * chirp[k];
-  }
-}
-
 std::vector<Complex> reference_rfft(std::span<const double> in,
                                     std::size_t n) {
   std::vector<Complex> out(n / 2 + 1);
   if (n == 1) {
     out[0] = Complex(in.size() == 1 ? in[0] : 0.0, 0.0);
-    return out;
-  }
-  if (n % 2 != 0) {
-    std::vector<Complex> full(n, Complex(0.0, 0.0));
-    for (std::size_t i = 0; i < in.size(); ++i) full[i] = Complex(in[i], 0.0);
-    reference_transform(full, false);
-    std::copy_n(full.begin(), out.size(), out.begin());
     return out;
   }
   const std::size_t h = n / 2;
@@ -199,7 +149,7 @@ std::vector<double> reference_irfft(std::span<const Complex> spectrum,
   packed[0] = Complex(0.5 * (x0 + xh), 0.5 * (x0 - xh));
   dsp::simd::ops().irfft_merge(spectrum.data(), rtwiddles(n).data(), h,
                                packed.data());
-  reference_transform(packed, true);
+  reference_fft_pow2(packed, true);
   if (out_size > 0) {
     std::memcpy(out.data(), reinterpret_cast<const double*>(packed.data()),
                 out_size * sizeof(double));
@@ -212,7 +162,7 @@ std::vector<double> reference_power(std::span<const double> in) {
   std::vector<double> out(n / 2 + 1);
   const double norm = 1.0 / static_cast<double>(n);
   const double norm2 = norm * norm;
-  if (n > 1 && n % 2 == 0) {
+  if (n > 1) {
     const std::size_t h = n / 2;
     const auto z = packed_forward(in, n);
     const double x0 = z[0].real() + z[0].imag();
@@ -235,12 +185,6 @@ std::vector<double> reference_windowed_power(std::span<const double> in,
   std::vector<double> frame(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) frame[i] = in[i] * window[i];
   return reference_power(frame);
-}
-
-std::vector<double> reference_magnitude(std::span<const double> in) {
-  auto out = reference_power(in);
-  for (double& v : out) v = std::sqrt(v);
-  return out;
 }
 
 }  // namespace vibguard::testing

@@ -8,7 +8,8 @@
 // conjugate-symmetric split kernels. The differential fuzz driver holds
 // FftPlan to them with exact equality, so any change that claims to reorder
 // memory traffic without touching the arithmetic is checked as such, at
-// every transform size and SIMD level.
+// every transform size and SIMD level. Every size here is a power of two,
+// as FftPlan's are.
 #pragma once
 
 #include <complex>
@@ -25,17 +26,12 @@ using Complex = std::complex<double>;
 /// `inverse` scales by 1/n. data.size() must be a power of two.
 void reference_fft_pow2(std::span<Complex> data, bool inverse);
 
-/// FftPlan::transform: reference_fft_pow2 for power-of-two sizes, else
-/// Bluestein through it with the chirp and kernel spectrum built per call.
-void reference_transform(std::span<Complex> data, bool inverse);
-
 /// FftPlan(n).rfft(in, out): `in` (at most n samples) zero-padded to n;
 /// returns n/2 + 1 bins.
 std::vector<Complex> reference_rfft(std::span<const double> in,
                                     std::size_t n);
 
-/// FftPlan(n).irfft(spectrum, out) for n == 1 or even n: the first
-/// `out_size` <= n samples.
+/// FftPlan(n).irfft(spectrum, out): the first `out_size` <= n samples.
 std::vector<double> reference_irfft(std::span<const Complex> spectrum,
                                     std::size_t n, std::size_t out_size);
 
@@ -45,8 +41,5 @@ std::vector<double> reference_power(std::span<const double> in);
 /// FftPlan(in.size()).windowed_power(in, window, out).
 std::vector<double> reference_windowed_power(std::span<const double> in,
                                              std::span<const double> window);
-
-/// FftPlan(in.size()).magnitude(in, out).
-std::vector<double> reference_magnitude(std::span<const double> in);
 
 }  // namespace vibguard::testing

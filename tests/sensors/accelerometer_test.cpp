@@ -51,7 +51,8 @@ TEST(AccelerometerTest, HighFrequencyToneAliasesIntoBand) {
   for (std::size_t k = 4; k < mag.size(); ++k) {
     if (mag[k] > mag[best]) best = k;
   }
-  const double f = dsp::bin_frequency(best, vib.size(), 200.0);
+  const double f =
+      dsp::bin_frequency(best, dsp::next_pow2(vib.size()), 200.0);
   EXPECT_NEAR(f, 30.0, 2.0);
 }
 
